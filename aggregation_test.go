@@ -10,14 +10,15 @@ import (
 
 // runFilterPressure floods a victim whose gateway holds only four
 // wire-speed filters with a dozen concurrent attacks (the §IV-B
-// starvation setup of TestConcurrentEscalationFilterPressure), with
-// aggregation enabled or disabled, and returns the deployment.
-func runFilterPressure(t *testing.T, aggregationPrefixLen int) *ManyToOneDeployment {
+// starvation setup of TestConcurrentEscalationFilterPressure) under
+// the given aggregation policy (nil disables aggregation), and returns
+// the deployment.
+func runFilterPressure(t *testing.T, policy *AllocationPolicy) *ManyToOneDeployment {
 	t.Helper()
 	const attackers = 12
 	opt := DefaultOptions()
 	opt.FilterCapacity = 4
-	opt.AggregationPrefixLen = aggregationPrefixLen
+	opt.Allocation = policy
 	dep := DeployManyToOne(ManyToOneOptions{
 		Options:   opt,
 		Attackers: attackers,
@@ -38,8 +39,8 @@ func runFilterPressure(t *testing.T, aggregationPrefixLen int) *ManyToOneDeploym
 // while the budget invariant still holds and the victim measurably
 // receives less attack traffic than under reject-only starvation.
 func TestAggregationBoundsFilterTablePressure(t *testing.T) {
-	baseline := runFilterPressure(t, 0)
-	aggregated := runFilterPressure(t, 24)
+	baseline := runFilterPressure(t, nil)
+	aggregated := runFilterPressure(t, &AllocationPolicy{PrefixLens: []uint8{24}})
 
 	st := aggregated.VictimGW.Stats()
 	if st.Aggregations == 0 || st.AggregatedChildren < 2 {
@@ -106,7 +107,7 @@ func TestSplitBackRespectsCapacityAndDeadlines(t *testing.T) {
 	const capacity = 3
 	opt := DefaultOptions()
 	opt.FilterCapacity = capacity
-	opt.AggregationPrefixLen = 24
+	opt.Allocation = &AllocationPolicy{PrefixLens: []uint8{24}}
 	dep := DeployManyToOne(ManyToOneOptions{Options: opt, Attackers: 28})
 	for i, a := range dep.Attackers {
 		fl := dep.Flood(a, dep.Victim, 3e5)
@@ -172,11 +173,7 @@ func runCollateralContrast(t *testing.T, policy *AllocationPolicy) (legitBytes, 
 	t.Helper()
 	opt := DefaultOptions()
 	opt.FilterCapacity = 4
-	if policy != nil {
-		opt.Allocation = policy
-	} else {
-		opt.AggregationPrefixLen = 24
-	}
+	opt.Allocation = policy
 	dep = DeployManyToOne(ManyToOneOptions{Options: opt, Attackers: 16})
 	for i := 0; i < 12; i++ {
 		fl := dep.Flood(dep.Attackers[i], dep.Victim, 3e5)
@@ -207,7 +204,7 @@ func runCollateralContrast(t *testing.T, policy *AllocationPolicy) (legitBytes, 
 // suppression, because it covers the twelve /28 siblings without
 // touching the legit sender sharing their /24.
 func TestAllocatorSparesLegitSibling(t *testing.T) {
-	legitFixed, attackFixed, fixed := runCollateralContrast(t, nil)
+	legitFixed, attackFixed, fixed := runCollateralContrast(t, &AllocationPolicy{PrefixLens: []uint8{24}})
 	legitAlloc, attackAlloc, alloced := runCollateralContrast(t,
 		&AllocationPolicy{PrefixLens: []uint8{28, 26, 24}})
 

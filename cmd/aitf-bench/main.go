@@ -167,26 +167,45 @@ func measureDataplane(e *dataplane.Engine, filters int, hitFrac float64, gorouti
 	return float64(total.Load()) / time.Since(start).Seconds()
 }
 
+// allocsPerOp returns the steady-state heap allocations per call of op:
+// the least mean over up to three windows of runs calls, after one
+// warm-up call. Unlike testing.AllocsPerRun it keeps the fraction, so
+// one allocation in a thousand calls still shows.
+//
+// MemStats.Mallocs is process-wide, so, as AllocsPerRun does, the probe
+// pins GOMAXPROCS to 1 and no other goroutine runs alongside op. The
+// runtime goroutines a collection readies (finalizers, unique-map
+// cleanup) can still run at a preemption inside a window; the Gosched
+// lets them go first, and a window they hit anyway is measured again.
+// An allocation op makes in every window shows in the least one. GC is
+// paused too: a cycle mid-loop would evict the engines' sync.Pool
+// scratch and charge the refill to op.
+func allocsPerOp(runs int, op func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.Gosched()
+	op() // warm the scratch pools post-GC
+	least := uint64(math.MaxUint64)
+	for w := 0; w < 3 && least > 0; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return float64(least) / float64(runs)
+}
+
 // classifyAllocsPerOp measures steady-state heap allocations per
-// ClassifyInto call on a warm engine, single-goroutine so the malloc
-// delta is attributable. GC is paused for the measurement: a cycle
-// mid-loop would evict the engine's sync.Pool scratch and charge the
-// refill to the classify path as phantom fractional allocs.
+// ClassifyInto call on a warm engine.
 func classifyAllocsPerOp(e *dataplane.Engine, filters int, hitFrac float64) float64 {
 	rng := rand.New(rand.NewSource(99))
 	batch := dataplane.WorkloadBatch(rng, filters, benchBatchSize, hitFrac)
 	verdicts := make([]dataplane.Verdict, 0, benchBatchSize)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	verdicts = e.ClassifyInto(batch, verdicts) // warm the scratch pool post-GC
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		verdicts = e.ClassifyInto(batch, verdicts)
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs
+	return allocsPerOp(1000, func() { verdicts = e.ClassifyInto(batch, verdicts) })
 }
 
 // sweepSpec enumerates the cells measured by -json and -regress.
@@ -373,17 +392,7 @@ func wildcardAllocsPerOp(e *dataplane.Engine, pairs, nonExact int, wildFrac floa
 	rng := rand.New(rand.NewSource(99))
 	batch := dataplane.WildcardWorkloadBatch(rng, pairs, nonExact, benchBatchSize, wildFrac)
 	verdicts := make([]dataplane.Verdict, 0, benchBatchSize)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	verdicts = e.ClassifyInto(batch, verdicts)
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		verdicts = e.ClassifyInto(batch, verdicts)
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs
+	return allocsPerOp(1000, func() { verdicts = e.ClassifyInto(batch, verdicts) })
 }
 
 // measureScanRef measures the pre-change alternative: matching each
@@ -480,21 +489,14 @@ func detectAllocsPerOp(e *detect.Engine, attackers int) float64 {
 	batch := detect.WorkloadBatch(rng, attackers, benchBatchSize)
 	out := make([]detect.Detection, 0, benchBatchSize)
 	now := sim.Time(0)
+	observe := func() {
+		now += 500 * time.Microsecond
+		out = e.Observe(now, batch, out[:0])
+	}
 	for i := 0; i < 100; i++ {
-		now += 500 * time.Microsecond
-		out = e.Observe(now, batch, out[:0])
+		observe()
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		now += 500 * time.Microsecond
-		out = e.Observe(now, batch, out[:0])
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs
+	return allocsPerOp(1000, observe)
 }
 
 func detectSweep(spec detectSweepSpec, dur time.Duration) []detectResult {

@@ -1,17 +1,19 @@
 // Package alloc chooses which covering prefix filters a gateway should
 // install when its wire-speed filter table is full — the collateral-
-// aware refinement of the §IV coarse-filter fallback. Where the fixed
-// policy (filter.SiblingGroups at one configured length) is blind to
-// how much legitimate traffic an aggregate blocks, this allocator
-// scores candidate prefixes at multiple lengths by *estimated
-// collateral legit bytes* — per-pair byte estimates and per-destination
-// EWMA baselines from internal/detect, with covered-address count as
-// the fallback when nothing is measured — and picks, by greedy weighted
-// set-cover, the candidate set that frees the required slots at minimum
-// collateral. This is the "Optimal Filtering for DDoS Attacks"
-// objective (min legit bytes filtered given N slots) applied to AITF's
-// aggregation endgame; re-running Choose each detection window gives
-// the adaptive re-allocation of "Adaptive Distributed Filtering".
+// aware form of the §IV coarse-filter fallback, and the only one: the
+// fixed /N policy is a Policy with the one-rung ladder {N}. With no
+// traffic view it takes the largest sibling group at /N, blind to how
+// much legitimate traffic the aggregate blocks. Given a ladder and a
+// traffic view, the allocator scores candidate prefixes at multiple
+// lengths by *estimated collateral legit bytes* — per-pair byte
+// estimates and per-destination EWMA baselines from internal/detect,
+// with covered-address count as the fallback when nothing is measured
+// — and picks, by greedy weighted set-cover, the candidate set that
+// frees the required slots at minimum collateral. This is the "Optimal
+// Filtering for DDoS Attacks" objective (min legit bytes filtered
+// given N slots) applied to AITF's aggregation endgame; re-running
+// Choose each detection window gives the adaptive re-allocation of
+// "Adaptive Distributed Filtering".
 package alloc
 
 import (
@@ -122,9 +124,9 @@ type Candidate struct {
 }
 
 // Assess prices one sibling group against the traffic view. It is the
-// single scoring rule: Choose ranks with it, and the gateway reuses it
-// to account estimated-collateral-bytes for fixed-policy aggregates so
-// both policies report comparable stats.
+// single scoring rule: Choose ranks and re-prices candidates with it,
+// so every policy — the fixed one-rung ladder included — reports its
+// estimated collateral bytes on the same scale.
 func Assess(g filter.SiblingGroup, cfg Config) Candidate {
 	c := Candidate{SiblingGroup: g}
 	covered := float64(g.CoveredAddrs())
@@ -273,42 +275,7 @@ func candLess(a, b Candidate) bool {
 	if a.Aggregate.SrcPrefixLen != b.Aggregate.SrcPrefixLen {
 		return a.Aggregate.SrcPrefixLen > b.Aggregate.SrcPrefixLen
 	}
-	return labelLess(a.Aggregate, b.Aggregate)
-}
-
-// overlaps reports whether two aggregate labels cover overlapping flow
-// space (same destination, nested source prefixes) — installing both
-// would double-spend slots on the same offenders.
-func overlaps(a, b flow.Label) bool {
-	return a.Dst == b.Dst && (a.Covers(b) || b.Covers(a))
-}
-
-// labelLess is a deterministic, allocation-free total order over
-// labels (alloc's copy of filter.labelLess; both run on the
-// table-pressure path where formatting per comparison is too dear).
-func labelLess(a, b flow.Label) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SrcPrefixLen != b.SrcPrefixLen {
-		return a.SrcPrefixLen < b.SrcPrefixLen
-	}
-	if a.DstPrefixLen != b.DstPrefixLen {
-		return a.DstPrefixLen < b.DstPrefixLen
-	}
-	if a.Proto != b.Proto {
-		return a.Proto < b.Proto
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Wildcards < b.Wildcards
+	return flow.LabelLess(a.Aggregate, b.Aggregate)
 }
 
 // DetectTraffic adapts a detect.Engine into the allocator's Traffic

@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -245,5 +247,56 @@ func TestChooseEdgeCases(t *testing.T) {
 	// A lone entry cannot aggregate: empty plan, caller handles it.
 	if p := Choose(entries, 3, Config{}); p.Freed != 0 {
 		t.Fatalf("singleton aggregated: %+v", p)
+	}
+}
+
+// overlaps reports whether two aggregate labels cover overlapping flow
+// space (same destination, nested source prefixes) — installing both
+// would double-spend slots on the same offenders.
+func overlaps(a, b flow.Label) bool {
+	return a.Dst == b.Dst && (a.Covers(b) || b.Covers(a))
+}
+
+// TestOneRungIsFixedPolicy is the property that lets the fixed /N
+// fallback run as the allocator: with no traffic view, a one-rung
+// ladder {N} picks exactly the group the fixed policy took — the
+// largest sibling group at /N, ties broken by label order — over
+// random entry sets and lengths.
+func TestOneRungIsFixedPolicy(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	dsts := []flow.Addr{flow.MakeAddr(10, 0, 0, 2), flow.MakeAddr(10, 0, 0, 3)}
+	for iter := 0; iter < 2000; iter++ {
+		n := uint8(1 + rng.Intn(31))
+		var entries []filter.Entry
+		for i, k := 0, rng.Intn(40); i < k; i++ {
+			// Sources crowd a few /16s so groups form at every length.
+			src := flow.MakeAddr(20, byte(rng.Intn(3)), byte(rng.Intn(4)), byte(rng.Intn(64)))
+			dst := dsts[rng.Intn(len(dsts))]
+			var l flow.Label
+			switch rng.Intn(4) {
+			case 0:
+				l = flow.Exact(src, dst, flow.ProtoUDP, uint16(rng.Intn(3)), 80)
+			case 1:
+				l = flow.SrcPrefixLabel(src, 24, dst) // already coarse: never grouped
+			default:
+				l = flow.PairLabel(src, dst)
+			}
+			entries = append(entries, filter.Entry{Label: l, ExpiresAt: filter.Time(rng.Intn(5)) * time.Second})
+		}
+		groups := filter.SiblingGroups(entries, n, 2)
+		plan := Choose(entries, 1, Config{Policy: Policy{PrefixLens: []uint8{n}}})
+		if len(groups) == 0 {
+			if len(plan.Picks) != 0 {
+				t.Fatalf("iter %d /%d: no sibling group, but Choose picked %v", iter, n, plan.Picks[0].Aggregate)
+			}
+			continue
+		}
+		if len(plan.Picks) != 1 {
+			t.Fatalf("iter %d /%d: %d picks, want 1", iter, n, len(plan.Picks))
+		}
+		if got, want := plan.Picks[0].SiblingGroup, groups[0]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d /%d: one-rung pick %v (%d children), fixed policy %v (%d children)",
+				iter, n, got.Aggregate, len(got.Children), want.Aggregate, len(want.Children))
+		}
 	}
 }

@@ -96,27 +96,18 @@ type GatewayConfig struct {
 	// (0 or 1 keeps a single shard, which is ideal for the
 	// single-threaded simulator; the wire runtime uses more).
 	DataplaneShards int
-	// AggregationPrefixLen enables the §IV fallback to coarser filters:
+	// Allocation, when non-nil, enables the §IV fallback to coarser
+	// filters through the collateral-aware allocator (internal/alloc):
 	// when the wire-speed table cannot hold a victim-side filter,
-	// sibling filters sharing a destination and a source /N are
-	// coalesced into one covering prefix filter, and split back apart
-	// when the pressure subsides. 0 disables aggregation (the
-	// hardware-faithful reject-only behaviour); 24 is a typical value.
-	AggregationPrefixLen int
-	// AggregationMinChildren is the smallest sibling group worth
-	// coalescing; values below 2 are treated as 2 (replacing a single
-	// filter frees nothing and only adds collateral).
-	AggregationMinChildren int
-	// Allocation, when non-nil, replaces the fixed-length aggregation
-	// trigger with the collateral-aware allocator (internal/alloc):
-	// on table pressure candidate prefixes are scored at every
-	// configured length by estimated collateral legit bytes — using
-	// the gateway's detection engine as the traffic view when armed —
-	// and the cheapest set freeing the needed slots is installed.
-	// Outstanding aggregates are also re-evaluated each review tick
-	// and refined to deeper prefixes as the table relaxes. When set,
-	// AggregationPrefixLen is ignored (kept as the fixed-policy
-	// baseline for comparison runs).
+	// candidate source-prefix aggregates of sibling filters are scored
+	// at every configured length by estimated collateral legit bytes —
+	// using the gateway's detection engine as the traffic view when
+	// armed — and the cheapest set freeing the needed slots is
+	// installed. Outstanding aggregates are split back when the
+	// pressure subsides, and re-evaluated each review tick and refined
+	// to deeper prefixes as the table relaxes. A one-rung ladder,
+	// PrefixLens: []uint8{24}, is the fixed /24 policy. nil disables
+	// aggregation (the hardware-faithful reject-only behaviour).
 	Allocation *alloc.Policy
 	// Detection, when non-nil and armed, runs a sketch-based
 	// heavy-hitter engine (internal/detect) on the gateway's own data
@@ -1041,9 +1032,10 @@ func (g *Gateway) installTemp(w *vwatch) {
 // the §IV aggregation policy when the wire-speed table is full: if a
 // live aggregate already covers the label it is refreshed instead of
 // spending a slot, and on ErrTableFull the gateway coalesces the
-// largest sibling group into a covering prefix filter and retries once.
+// allocator's cheapest sibling cover into prefix filters and retries
+// once.
 func (g *Gateway) installVictimFilter(label flow.Label, now, exp sim.Time) error {
-	if g.aggregationEnabled() {
+	if g.cfg.Allocation != nil {
 		if a := g.coveringAggregate(label); a != nil {
 			// Extend the aggregate so it covers the requested window;
 			// the flow is already being dropped. Record the would-be
@@ -1080,16 +1072,7 @@ func (g *Gateway) installVictimFilter(label flow.Label, now, exp sim.Time) error
 		g.clusterRecord(cluster.OpInstall, label, exp)
 		return nil
 	}
-	if !errors.Is(err, filter.ErrTableFull) || !g.aggregationEnabled() {
-		return err
-	}
-	freed := false
-	if g.cfg.Allocation != nil {
-		freed = g.allocateUnderPressure(now)
-	} else {
-		freed = g.aggregateUnderPressure(now)
-	}
-	if !freed {
+	if !errors.Is(err, filter.ErrTableFull) || g.cfg.Allocation == nil || !g.allocateUnderPressure(now) {
 		return err
 	}
 	if err := g.dp.Install(label, now, exp); err != nil {
@@ -1099,20 +1082,11 @@ func (g *Gateway) installVictimFilter(label flow.Label, now, exp sim.Time) error
 	return nil
 }
 
-// aggregationEnabled reports whether either coarse-filter fallback —
-// the fixed prefix length or the collateral-aware allocator — is on.
-func (g *Gateway) aggregationEnabled() bool {
-	return g.cfg.Allocation != nil || g.cfg.AggregationPrefixLen > 0
-}
-
 // allocConfig materialises the allocator configuration for this
 // gateway: the deployable policy plus the live traffic view (the
 // gateway-side detection engine, when armed).
 func (g *Gateway) allocConfig(policy alloc.Policy) alloc.Config {
 	cfg := alloc.Config{Policy: policy}
-	if g.cfg.AggregationMinChildren > cfg.MinChildren {
-		cfg.MinChildren = g.cfg.AggregationMinChildren
-	}
 	if g.clu != nil && g.protected != nil {
 		// The cluster is the traffic view: the union of the alive
 		// replicas' disjoint shards.
@@ -1136,54 +1110,11 @@ func (g *Gateway) coveringAggregate(label flow.Label) *aggregate {
 	return nil
 }
 
-// aggregateUnderPressure coalesces the sibling group that frees the
-// most wire-speed slots into one covering source-prefix filter,
-// reporting whether any slot was freed. The collateral cost (covered
-// address space minus actual offenders) is accounted per aggregation.
-func (g *Gateway) aggregateUnderPressure(now sim.Time) bool {
-	pfx := uint8(g.cfg.AggregationPrefixLen)
-	groups := filter.SiblingGroups(g.dp.FilterEntries(), pfx, g.cfg.AggregationMinChildren)
-	if len(groups) == 0 {
-		return false
-	}
-	best := groups[0]
-	replaced, err := g.dp.Aggregate(best.Aggregate, best.ChildLabels(), now, best.MaxExpiry)
-	if err != nil || replaced < 2 {
-		return false
-	}
-	key := best.Aggregate.Key()
-	a, ok := g.aggregates[key]
-	if !ok {
-		a = &aggregate{label: key}
-		g.aggregates[key] = a
-	}
-	a.children = append(a.children, best.Children...)
-	if best.MaxExpiry > a.exp {
-		a.exp = best.MaxExpiry
-	}
-	atomic.AddUint64(&g.stats.Aggregations, 1)
-	atomic.AddUint64(&g.stats.AggregatedChildren, uint64(replaced))
-	// Port-distinct exact children can outnumber the covered sources;
-	// collateral exposure never goes below zero.
-	if c := best.CoveredAddrs() - replaced; c > 0 {
-		atomic.AddUint64(&g.stats.AggregateCollateral, uint64(c))
-	}
-	// Price the fixed-policy choice with the same rule the allocator
-	// uses, so fixed and collateral-aware runs report comparable
-	// estimated-collateral-bytes.
-	priced := alloc.Assess(best, g.allocConfig(alloc.Policy{PrefixLens: []uint8{pfx}}))
-	atomic.AddUint64(&g.stats.AggregateCollateralBytes, uint64(priced.LegitBytes))
-	g.trace(EvAggregated, best.Aggregate,
-		fmt.Sprintf("%d children, covers %d sources", replaced, best.CoveredAddrs()))
-	g.clusterRecord(cluster.OpAggregate, best.Aggregate, best.MaxExpiry)
-	g.armAggregateReview()
-	return true
-}
-
-// allocateUnderPressure is the collateral-aware counterpart of
-// aggregateUnderPressure: it asks the allocator for the aggregate set
-// that frees a slot at minimum estimated collateral legit bytes and
-// installs it, reporting whether any slot was freed.
+// allocateUnderPressure asks the allocator for the aggregate set that
+// frees a slot at minimum estimated collateral legit bytes and
+// installs it, reporting whether any slot was freed. Under a one-rung
+// ladder with no traffic view every candidate costs the same per
+// covered address, so the pick is the largest sibling group.
 func (g *Gateway) allocateUnderPressure(now sim.Time) bool {
 	cfg := g.allocConfig(*g.cfg.Allocation)
 	plan := alloc.Choose(g.dp.FilterEntries(), 1, cfg)
@@ -1320,12 +1251,13 @@ func (g *Gateway) aggregateReview() {
 			g.trace(EvDeaggregated, a.label, fmt.Sprintf("split back %d children", len(live)))
 			continue
 		}
-		// Full precision does not fit. Under the allocator, adapt to
-		// the shifting attack mix instead of waiting: re-plan this
-		// aggregate's children at strictly deeper prefixes, spending
-		// the spare room on precision (at most one aggregate per tick
-		// to bound review work).
-		if g.cfg.Allocation != nil && !refined {
+		// Full precision does not fit. Adapt to the shifting attack
+		// mix instead of waiting: re-plan this aggregate's children at
+		// strictly deeper prefixes, spending the spare room on
+		// precision (at most one aggregate per tick to bound review
+		// work). A one-rung ladder has no deeper rung, so this is a
+		// no-op for the fixed policy.
+		if !refined {
 			refined = g.refineAggregate(k, a, live, now, room)
 		}
 	}

@@ -3,9 +3,10 @@
 // by the discrete-event simulator (internal/core) and the UDP wire
 // runtime (internal/wire).
 //
-// The engine partitions the bounded wire-speed filter table and the
-// DRAM shadow cache (internal/filter's resource model, paper §II-B /
-// §IV-B) into N hash shards keyed by the (src, dst) pair of the flow
+// The engine is the one store of the bounded wire-speed filter table
+// and the DRAM shadow cache (paper §II-B / §IV-B; internal/filter
+// defines their entry and counter types), partitioned into N hash
+// shards keyed by the (src, dst) pair of the flow
 // label — the pair is what AITF filtering requests name, so a tuple's
 // exact label, its canonical pair label, and every indexable label
 // with a concrete host pair all land in the same shard as the tuple's
@@ -62,7 +63,7 @@ type Config struct {
 	FilterCapacity int
 	// ShadowCapacity bounds the DRAM shadow cache, likewise global.
 	ShadowCapacity int
-	// Evict selects the full-table policy, as in filter.Table.
+	// Evict selects the full-table policy.
 	Evict filter.EvictPolicy
 	// ShadowLookup makes classification consult the shadow segment on
 	// filter misses, reporting "on-off" flow reappearances (§II-B).
@@ -395,10 +396,12 @@ func atomicMax(a *atomic.Int64, v int64) {
 }
 
 // Install adds a filter for label until deadline exp, refreshing the
-// expiry (and keeping counters) when the label is already present. The
-// global capacity budget and eviction policy match filter.Table:
-// RejectNew returns filter.ErrTableFull, EvictSoonest displaces the
-// engine-wide entry nearest to expiry.
+// expiry (and keeping counters) when the label is already present; a
+// refresh only ever extends the deadline and consumes no capacity.
+// Dead entries are reclaimed before occupancy is judged. The capacity
+// budget is global: RejectNew returns filter.ErrTableFull,
+// EvictSoonest displaces the engine-wide entry nearest to expiry, and
+// a capacity of 0 rejects everything.
 func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 	label = label.Key()
 	seg, isWild := e.segFor(label)
@@ -415,7 +418,7 @@ func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 	}
 	seg.mu.Unlock()
 
-	// Reclaim dead entries before judging occupancy, as Table does.
+	// Reclaim dead entries before judging occupancy.
 	e.Expire(now)
 
 	cap64 := int64(e.cfg.FilterCapacity)
@@ -466,8 +469,8 @@ func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 
 // AdoptFilter re-installs a previously snapshotted entry, preserving
 // its original install time, deadline, and per-entry drop counters —
-// the restore path after a gateway crash (filter.Table.Adopt's
-// engine-side twin). Capacity and eviction semantics match Install;
+// the restore path after a gateway crash. Capacity and eviction
+// semantics match Install;
 // adopting a label that is already present only raises its deadline.
 func (e *Engine) AdoptFilter(ent filter.Entry) error {
 	label := ent.Label.Key()
@@ -599,8 +602,8 @@ func (e *Engine) Remove(label flow.Label) bool {
 }
 
 // Aggregate replaces the child filters with one covering aggregate
-// filter under filter.Table.Aggregate's budget-conservation contract:
-// occupancy changes by exactly 1 − replaced, the aggregate's deadline
+// filter under a budget-conservation contract: occupancy changes by
+// exactly 1 − replaced, the aggregate's deadline
 // is raised to the latest child deadline so no child loses coverage
 // time, and child removals count under Aggregated rather than Removed
 // (no double-count). With replaced ≥ 1 the freed slots guarantee the
@@ -631,8 +634,7 @@ func (e *Engine) Aggregate(agg flow.Label, children []flow.Label, now, exp filte
 	if !existed {
 		// Install charged the new entry to Installed; reattribute it to
 		// Aggregates so the Stats occupancy arithmetic stays
-		// single-entry (a refresh of a live aggregate counts nowhere,
-		// exactly as in filter.Table.Aggregate).
+		// single-entry (a refresh of a live aggregate counts nowhere).
 		e.aggregates.Add(1)
 		e.installed.Add(^uint64(0))
 	}
@@ -724,7 +726,7 @@ func (e *Engine) FilterStats() filter.Stats {
 }
 
 // FilterEntries returns a merged snapshot of installed filters sorted
-// by expiry (soonest first), as filter.Table.Entries does.
+// by expiry (soonest first).
 func (e *Engine) FilterEntries() []filter.Entry {
 	out := make([]filter.Entry, 0, e.Len())
 	e.allSegs(func(s *shard, _ bool) {
@@ -745,7 +747,8 @@ func (e *Engine) FilterEntries() []filter.Entry {
 
 // LogShadow records a filtering request for label until exp, refreshing
 // expiry and victim when already present. It returns false when the
-// cache is full (or disabled), mirroring filter.ShadowCache.Log.
+// cache is full, or disabled by a capacity of 0 (the E6 shadow-off
+// ablation).
 func (e *Engine) LogShadow(label flow.Label, victim flow.Addr, now, exp filter.Time) bool {
 	label = label.Key()
 	seg, isWild := e.segFor(label)

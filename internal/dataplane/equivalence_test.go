@@ -406,8 +406,8 @@ func TestSnapshotChurnConservation(t *testing.T) {
 	}
 }
 
-// TestEngineAggregateConservesBudget mirrors the filter.Table contract
-// test against the sharded engine: replacing k children with one
+// TestEngineAggregateConservesBudget pins the aggregation contract
+// across shards: replacing k children with one
 // aggregate frees exactly k−1 slots of the global budget, attributes
 // removals to Aggregated (not Removed), and preserves coverage time.
 func TestEngineAggregateConservesBudget(t *testing.T) {

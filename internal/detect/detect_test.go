@@ -276,8 +276,15 @@ func TestObserveZeroAlloc(t *testing.T) {
 		now += 500 * time.Microsecond
 		out = e.Observe(now, batch, out[:0])
 	}
+	// Mallocs is process-wide: pin GOMAXPROCS to 1 for the window, as
+	// testing.AllocsPerRun does, so no other goroutine's allocations are
+	// charged to Observe, and yield once after the collection so the
+	// runtime goroutines it readies run before the window. The fraction
+	// is kept, unlike AllocsPerRun's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
+	runtime.Gosched()
 	const runs = 500
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

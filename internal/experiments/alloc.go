@@ -18,9 +18,9 @@ import (
 // spare it. The simulator runs in virtual time, so every counter is
 // byte-exact and machine-independent.
 type AllocCell struct {
-	// Policy names the aggregation fallback: "fixed24" (the static
-	// AggregationPrefixLen policy) or "alloc" (the legit-traffic-
-	// weighted allocator with the /28../24 ladder).
+	// Policy names the aggregation fallback: "fixed24" (the one-rung
+	// /24 ladder) or "alloc" (the /28../24 ladder). Both run the same
+	// legit-traffic-weighted allocator.
 	Policy string `json:"policy"`
 	// Attackers is the flooding-site count (the legit sibling excluded).
 	Attackers int `json:"attackers"`
@@ -38,19 +38,19 @@ type AllocCell struct {
 	// priced into its aggregates (covered minus replaced, summed).
 	CollateralAddrs uint64 `json:"collateral_addrs"`
 	// CollateralBytes is the estimated collateral legit bytes/window
-	// priced into the installed aggregates (the fixed policy prices its
-	// forced choice with the same estimator, so the cells compare).
+	// priced into the installed aggregates (both policies price with
+	// the same estimator, so the cells compare).
 	CollateralBytes uint64 `json:"collateral_bytes"`
 }
 
-// runAllocCell runs the contrast workload under one policy. A nil
-// policy selects the fixed /24 fallback. Mirrors the deterministic
-// setup of TestAllocatorSparesLegitSibling — sites 0..11 flood at 300
-// kB/s, site 15 (outside the attackers' /28) sends at 15 kB/s, below
-// the detection threshold — but defends the victim from its gateway,
-// so the gateway's sketch engine both detects the attacks and feeds
-// the allocator's measured per-pair collateral estimates.
-func runAllocCell(policy *aitf.AllocationPolicy) AllocCell {
+// runAllocCell runs the contrast workload under one named policy.
+// Mirrors the deterministic setup of TestAllocatorSparesLegitSibling —
+// sites 0..11 flood at 300 kB/s, site 15 (outside the attackers' /28)
+// sends at 15 kB/s, below the detection threshold — but defends the
+// victim from its gateway, so the gateway's sketch engine both detects
+// the attacks and feeds the allocator's measured per-pair collateral
+// estimates.
+func runAllocCell(name string, policy *aitf.AllocationPolicy) AllocCell {
 	const attackers, capacity = 12, 4
 	opt := aitf.DefaultOptions()
 	opt.FilterCapacity = capacity
@@ -59,13 +59,8 @@ func runAllocCell(policy *aitf.AllocationPolicy) AllocCell {
 		Window:       sim.Time(250 * time.Millisecond),
 		Seed:         7,
 	}
-	cell := AllocCell{Policy: "fixed24", Attackers: attackers, FilterCapacity: capacity}
-	if policy != nil {
-		opt.Allocation = policy
-		cell.Policy = "alloc"
-	} else {
-		opt.AggregationPrefixLen = 24
-	}
+	opt.Allocation = policy
+	cell := AllocCell{Policy: name, Attackers: attackers, FilterCapacity: capacity}
 	dep := aitf.DeployManyToOne(aitf.ManyToOneOptions{
 		Options:              opt,
 		Attackers:            16,
@@ -102,8 +97,8 @@ func runAllocCell(policy *aitf.AllocationPolicy) AllocCell {
 // simulator's determinism makes the gate byte-exact.
 func AllocSweep() []AllocCell {
 	return []AllocCell{
-		runAllocCell(nil),
-		runAllocCell(&aitf.AllocationPolicy{PrefixLens: []uint8{28, 26, 24}}),
+		runAllocCell("fixed24", &aitf.AllocationPolicy{PrefixLens: []uint8{24}}),
+		runAllocCell("alloc", &aitf.AllocationPolicy{PrefixLens: []uint8{28, 26, 24}}),
 	}
 }
 

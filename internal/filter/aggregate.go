@@ -3,9 +3,10 @@
 // when thousands of (often spoofed) sibling sources each cost one pair
 // filter — the gateway falls back to coarser labels, coalescing sibling
 // filters into one covering source-prefix filter. This file holds the
-// pure grouping policy; Table.Aggregate / dataplane.Engine.Aggregate
-// perform the budget-conserving replacement, and core.Gateway decides
-// when pressure warrants it and when relief warrants splitting back.
+// pure grouping; internal/alloc chooses which groups to coalesce,
+// dataplane.Engine.Aggregate performs the budget-conserving
+// replacement, and core.Gateway decides when pressure warrants it and
+// when relief warrants splitting back.
 package filter
 
 import (
@@ -101,7 +102,7 @@ func SiblingGroups(entries []Entry, prefixLen uint8, minChildren int) []SiblingG
 			if members[i].ExpiresAt != members[j].ExpiresAt {
 				return members[i].ExpiresAt < members[j].ExpiresAt
 			}
-			return labelLess(members[i].Label, members[j].Label)
+			return flow.LabelLess(members[i].Label, members[j].Label)
 		})
 		g := SiblingGroup{
 			Aggregate: flow.SrcPrefixLabel(k.src, prefixLen, k.dst),
@@ -114,36 +115,7 @@ func SiblingGroups(entries []Entry, prefixLen uint8, minChildren int) []SiblingG
 		if len(out[i].Children) != len(out[j].Children) {
 			return len(out[i].Children) > len(out[j].Children)
 		}
-		return labelLess(out[i].Aggregate, out[j].Aggregate)
+		return flow.LabelLess(out[i].Aggregate, out[j].Aggregate)
 	})
 	return out
-}
-
-// labelLess is a total order over labels for deterministic tie-breaks.
-// Both SiblingGroups sorts run exactly when the gateway is out of
-// wire-speed filters, so the comparison must not format strings (or
-// allocate at all) per call the way Label.String() ordering did.
-func labelLess(a, b flow.Label) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SrcPrefixLen != b.SrcPrefixLen {
-		return a.SrcPrefixLen < b.SrcPrefixLen
-	}
-	if a.DstPrefixLen != b.DstPrefixLen {
-		return a.DstPrefixLen < b.DstPrefixLen
-	}
-	if a.Proto != b.Proto {
-		return a.Proto < b.Proto
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Wildcards < b.Wildcards
 }

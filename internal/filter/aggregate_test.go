@@ -70,106 +70,6 @@ func TestSiblingGroups(t *testing.T) {
 	}
 }
 
-// TestTableAggregateConservesBudget pins the quota contract documented
-// on Table.Aggregate: replacing k children with one aggregate frees
-// exactly k−1 slots, double-counts nothing in the stats arithmetic,
-// leaks nothing through repeated cycles, and preserves coverage time.
-func TestTableAggregateConservesBudget(t *testing.T) {
-	const capacity = 8
-	dst := flow.MakeAddr(10, 0, 0, 9)
-	tb := NewTable(capacity, RejectNew)
-	for i := 0; i < capacity; i++ {
-		if err := tb.Install(aggChild(i, dst), 0, Time(i+1)*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tb.Install(aggChild(99, dst), 0, time.Minute); err == nil {
-		t.Fatal("table should be full")
-	}
-
-	groups := SiblingGroups(tb.Entries(), 24, 2)
-	if len(groups) != 1 {
-		t.Fatalf("groups: %+v", groups)
-	}
-	g := groups[0]
-	if err := tb.Aggregate(g.Aggregate, g.ChildLabels(), 0, time.Second); err != nil {
-		t.Fatalf("Aggregate: %v", err)
-	}
-	if tb.Len() != 1 {
-		t.Fatalf("Len after aggregate = %d, want 1 (k slots freed, 1 consumed)", tb.Len())
-	}
-	st := tb.Stats()
-	if st.Aggregates != 1 || st.Aggregated != uint64(capacity) {
-		t.Fatalf("aggregation stats: %+v", st)
-	}
-	if st.Removed != 0 {
-		t.Fatalf("children double-counted under Removed: %+v", st)
-	}
-	// Single-entry arithmetic balances against live occupancy.
-	live := int64(st.Installed) + int64(st.Aggregates) - int64(st.Removed) -
-		int64(st.Aggregated) - int64(st.Expired) - int64(st.Evicted)
-	if live != int64(tb.Len()) {
-		t.Fatalf("stats arithmetic %d != occupancy %d (%+v)", live, tb.Len(), st)
-	}
-	// Coverage time conserved: the aggregate outlives the latest child
-	// even though the caller asked for less.
-	e, ok := tb.Lookup(g.Aggregate, 0)
-	if !ok || e.ExpiresAt != Time(capacity)*time.Second {
-		t.Fatalf("aggregate deadline %+v, want %v", e, Time(capacity)*time.Second)
-	}
-	// The aggregate still blocks every child flow.
-	if !tb.Match(flow.TupleOf(flow.MakeAddr(240, 1, 2, 3), dst, flow.ProtoUDP, 1, 80), 10, 0) {
-		t.Fatal("aggregate does not match a child flow")
-	}
-
-	// Re-aggregating with the aggregate live refreshes it (no new entry,
-	// no stat churn beyond newly folded children).
-	if err := tb.Install(aggChild(50, dst), 0, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Aggregate(g.Aggregate, []flow.Label{aggChild(50, dst)}, 0, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	st = tb.Stats()
-	if tb.Len() != 1 || st.Aggregates != 1 || st.Aggregated != uint64(capacity+1) {
-		t.Fatalf("refresh cycle: len=%d stats=%+v", tb.Len(), st)
-	}
-	if e, _ := tb.Lookup(g.Aggregate, 0); e.ExpiresAt != 30*time.Second {
-		t.Fatalf("refresh did not extend to late child: %+v", e)
-	}
-
-	// Aggregating nothing present falls back to a plain capacity-checked
-	// install (here: fine, table has room).
-	g2 := flow.SrcPrefixLabel(flow.MakeAddr(241, 0, 0, 0), 24, dst)
-	if err := tb.Aggregate(g2, []flow.Label{aggChild(200, dst)}, 0, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Len() != 2 {
-		t.Fatalf("Len = %d", tb.Len())
-	}
-	// No leak across many cycles: install k children, aggregate, expire.
-	now := Time(0)
-	for cycle := 0; cycle < 20; cycle++ {
-		tb2 := NewTable(capacity, RejectNew)
-		for i := 0; i < capacity; i++ {
-			if err := tb2.Install(aggChild(i, dst), now, now+time.Second); err != nil {
-				t.Fatal(err)
-			}
-		}
-		gs := SiblingGroups(tb2.Entries(), 24, 2)
-		if err := tb2.Aggregate(gs[0].Aggregate, gs[0].ChildLabels(), now, now+time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if tb2.Len() != 1 {
-			t.Fatalf("cycle %d: leak, Len=%d", cycle, tb2.Len())
-		}
-		tb2.Expire(now + 2*time.Second)
-		if tb2.Len() != 0 {
-			t.Fatalf("cycle %d: aggregate did not expire", cycle)
-		}
-	}
-}
-
 // TestCoveredAddrsDegenerate pins CoveredAddrs' unit (a count of IPv4
 // source addresses) across the label shapes an aggregate can take:
 // genuine prefixes, host labels (SrcPrefixLen 0 or ≥ 32), and
@@ -213,44 +113,6 @@ func TestCoveredAddrsDegenerate(t *testing.T) {
 	}
 }
 
-// TestLabelLessTotalOrder checks the allocation-free comparator used by
-// the table-pressure sorts is a strict total order (never both ways,
-// equal labels unordered) and allocates nothing per comparison.
-func TestLabelLessTotalOrder(t *testing.T) {
-	dst := flow.MakeAddr(10, 0, 0, 9)
-	labels := []flow.Label{
-		flow.PairLabel(flow.MakeAddr(240, 1, 2, 3), dst),
-		flow.PairLabel(flow.MakeAddr(240, 1, 2, 4), dst),
-		flow.PairLabel(flow.MakeAddr(240, 1, 2, 3), flow.MakeAddr(10, 0, 0, 8)),
-		flow.SrcPrefixLabel(flow.MakeAddr(240, 1, 2, 0), 24, dst),
-		flow.SrcPrefixLabel(flow.MakeAddr(240, 1, 2, 0), 28, dst),
-		flow.FromSource(dst),
-		flow.Exact(flow.MakeAddr(240, 1, 2, 3), dst, flow.ProtoUDP, 5000, 80),
-		flow.Exact(flow.MakeAddr(240, 1, 2, 3), dst, flow.ProtoTCP, 5000, 80),
-	}
-	for i, a := range labels {
-		for j, b := range labels {
-			lt, gt := labelLess(a, b), labelLess(b, a)
-			if lt && gt {
-				t.Fatalf("labels %d,%d ordered both ways", i, j)
-			}
-			if i == j && (lt || gt) {
-				t.Fatalf("label %d ordered against itself", i)
-			}
-			if i != j && a != b && !lt && !gt {
-				t.Fatalf("distinct labels %d,%d unordered", i, j)
-			}
-		}
-	}
-	a, b := labels[0], labels[3]
-	if allocs := testing.AllocsPerRun(1000, func() {
-		_ = labelLess(a, b)
-		_ = labelLess(b, a)
-	}); allocs != 0 {
-		t.Fatalf("labelLess allocates %v per run, want 0", allocs)
-	}
-}
-
 // BenchmarkSiblingGroups guards the table-pressure grouping path: it
 // runs exactly when the gateway is out of wire-speed filters, so its
 // cost (and especially its per-comparison allocations, formerly a
@@ -273,106 +135,4 @@ func BenchmarkSiblingGroups(b *testing.B) {
 			b.Fatal("no groups")
 		}
 	}
-}
-
-// TestTableAggregateRefreshConservesStats locks in the stats
-// conservation contract for *repeated* aggregation into an existing
-// aggregate — the refresh path: each round folds only the children
-// actually present (counted once in Aggregated, never in Removed),
-// installs no second aggregate entry, and keeps the occupancy identity
-//
-//	Installed + Aggregates − Removed − Aggregated − Expired − Evicted == Len
-//
-// exact, while the aggregate's deadline only ever ratchets upward.
-func TestTableAggregateRefreshConservesStats(t *testing.T) {
-	const capacity = 8
-	dst := flow.MakeAddr(10, 0, 0, 9)
-	tb := NewTable(capacity, RejectNew)
-	agg := flow.SrcPrefixLabel(flow.MakeAddr(240, 1, 2, 0), 24, dst)
-
-	conserved := func(when string) {
-		t.Helper()
-		st := tb.Stats()
-		live := int64(st.Installed) + int64(st.Aggregates) - int64(st.Removed) -
-			int64(st.Aggregated) - int64(st.Expired) - int64(st.Evicted)
-		if live != int64(tb.Len()) {
-			t.Fatalf("%s: stats arithmetic %d != occupancy %d (%+v)", when, live, tb.Len(), st)
-		}
-	}
-
-	// Round 0 installs the aggregate the normal way, with a deadline
-	// beyond the refresh rounds so it stays live throughout.
-	for i := 0; i < 4; i++ {
-		if err := tb.Install(aggChild(i, dst), 0, time.Minute); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tb.Aggregate(agg, []flow.Label{
-		aggChild(0, dst), aggChild(1, dst), aggChild(2, dst), aggChild(3, dst),
-	}, 0, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	conserved("round 0")
-
-	// Rounds 1..5 repeatedly aggregate fresh children into the already
-	// installed aggregate.
-	var wantAggregated uint64 = 4
-	var lastDeadline Time
-	for round := 1; round <= 5; round++ {
-		now := Time(round) * time.Second
-		a, b := aggChild(10+2*round, dst), aggChild(11+2*round, dst)
-		childExp := now + Time(round)*time.Second
-		if err := tb.Install(a, now, childExp); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.Install(b, now, childExp); err != nil {
-			t.Fatal(err)
-		}
-		// The children list includes the aggregate's own key (must be
-		// skipped, not folded into itself) and an absent label (must be
-		// skipped without counting).
-		children := []flow.Label{agg, a, b, aggChild(200+round, dst)}
-		if err := tb.Aggregate(agg, children, now, now); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		wantAggregated += 2
-		st := tb.Stats()
-		if st.Aggregates != 1 {
-			t.Fatalf("round %d: refresh installed a second aggregate: %+v", round, st)
-		}
-		if st.Aggregated != wantAggregated {
-			t.Fatalf("round %d: Aggregated %d, want %d (absent/self children must not count)",
-				round, st.Aggregated, wantAggregated)
-		}
-		if st.Removed != 0 {
-			t.Fatalf("round %d: children leaked into Removed: %+v", round, st)
-		}
-		if tb.Len() != 1 {
-			t.Fatalf("round %d: occupancy %d, want 1", round, tb.Len())
-		}
-		conserved("refresh round")
-		e, ok := tb.Lookup(agg, now)
-		if !ok {
-			t.Fatalf("round %d: aggregate missing", round)
-		}
-		if e.ExpiresAt < childExp || e.ExpiresAt < lastDeadline {
-			t.Fatalf("round %d: deadline %v regressed (child %v, last %v)",
-				round, e.ExpiresAt, childExp, lastDeadline)
-		}
-		lastDeadline = e.ExpiresAt
-	}
-
-	// A refresh with no present children is a pure deadline extension:
-	// no counter moves.
-	before := tb.Stats()
-	if err := tb.Aggregate(agg, nil, 10*time.Second, 2*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if after := tb.Stats(); after != before {
-		t.Fatalf("child-free refresh moved stats: %+v -> %+v", before, after)
-	}
-	if e, _ := tb.Lookup(agg, 10*time.Second); e.ExpiresAt != 2*time.Minute {
-		t.Fatalf("child-free refresh did not extend deadline: %+v", e)
-	}
-	conserved("child-free refresh")
 }

@@ -308,6 +308,36 @@ func (l Label) Canonical() Label {
 // Key returns a canonical map key for the label.
 func (l Label) Key() Label { return l.Canonical() }
 
+// LabelLess is a deterministic total order over labels, for tie-breaks
+// in sorts that must not depend on map order. It compares fields and
+// never formats or allocates, because its callers sort on the
+// filter-table pressure path, where a String() per comparison is too
+// dear. It is not the Label.String() order.
+func LabelLess(a, b Label) bool {
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	if a.Dst != b.Dst {
+		return a.Dst < b.Dst
+	}
+	if a.SrcPrefixLen != b.SrcPrefixLen {
+		return a.SrcPrefixLen < b.SrcPrefixLen
+	}
+	if a.DstPrefixLen != b.DstPrefixLen {
+		return a.DstPrefixLen < b.DstPrefixLen
+	}
+	if a.Proto != b.Proto {
+		return a.Proto < b.Proto
+	}
+	if a.SrcPort != b.SrcPort {
+		return a.SrcPort < b.SrcPort
+	}
+	if a.DstPort != b.DstPort {
+		return a.DstPort < b.DstPort
+	}
+	return a.Wildcards < b.Wildcards
+}
+
 // String renders the label in a compact, parseable form such as
 // "10.0.0.2->10.1.0.9 proto=any sport=* dport=80"; prefixed addresses
 // render in CIDR form ("10.0.3.0/24").

@@ -457,3 +457,41 @@ func BenchmarkMatchWildcard(b *testing.B) {
 		}
 	}
 }
+
+// TestLabelLessTotalOrder checks the allocation-free comparator used by
+// the filter-table-pressure sorts is a strict total order (never both
+// ways, equal labels unordered) and allocates nothing per comparison.
+func TestLabelLessTotalOrder(t *testing.T) {
+	dst := MakeAddr(10, 0, 0, 9)
+	labels := []Label{
+		PairLabel(MakeAddr(240, 1, 2, 3), dst),
+		PairLabel(MakeAddr(240, 1, 2, 4), dst),
+		PairLabel(MakeAddr(240, 1, 2, 3), MakeAddr(10, 0, 0, 8)),
+		SrcPrefixLabel(MakeAddr(240, 1, 2, 0), 24, dst),
+		SrcPrefixLabel(MakeAddr(240, 1, 2, 0), 28, dst),
+		FromSource(dst),
+		Exact(MakeAddr(240, 1, 2, 3), dst, ProtoUDP, 5000, 80),
+		Exact(MakeAddr(240, 1, 2, 3), dst, ProtoTCP, 5000, 80),
+	}
+	for i, a := range labels {
+		for j, b := range labels {
+			lt, gt := LabelLess(a, b), LabelLess(b, a)
+			if lt && gt {
+				t.Fatalf("labels %d,%d ordered both ways", i, j)
+			}
+			if i == j && (lt || gt) {
+				t.Fatalf("label %d ordered against itself", i)
+			}
+			if i != j && a != b && !lt && !gt {
+				t.Fatalf("distinct labels %d,%d unordered", i, j)
+			}
+		}
+	}
+	a, b := labels[0], labels[3]
+	if allocs := testing.AllocsPerRun(1000, func() {
+		_ = LabelLess(a, b)
+		_ = LabelLess(b, a)
+	}); allocs != 0 {
+		t.Fatalf("LabelLess allocates %v per run, want 0", allocs)
+	}
+}

@@ -756,10 +756,11 @@ func build(s Spec) *world {
 	// Aggregation is always armed: it only engages under filter-table
 	// pressure (which the exhauster army reliably creates), and the
 	// invariants below must hold with aggregated prefix filters exactly
-	// as they do with precise ones. CollateralAlloc swaps the fixed /24
-	// trigger for the collateral-aware allocator on the same shallowest
-	// rung, so the invariant-2 budget bound applies identically.
-	opt.AggregationPrefixLen = aggShallowest
+	// as they do with precise ones. The default is the fixed one-rung
+	// /24 ladder; CollateralAlloc adds deeper rungs above the same
+	// shallowest one, so the invariant-2 budget bound applies
+	// identically.
+	opt.Allocation = &alloc.Policy{PrefixLens: []uint8{aggShallowest}}
 	if s.CollateralAlloc {
 		opt.Allocation = &alloc.Policy{PrefixLens: []uint8{28, 26, aggShallowest}}
 	}

@@ -59,13 +59,15 @@ type GatewayFileConfig struct {
 	Workers int `json:"workers"`
 	// AggregationPrefixLen enables coalescing sibling filters into a
 	// covering source-/N prefix filter under table pressure; valid
-	// values are 0 (disabled) or 1..31.
+	// values are 0 (disabled) or 1..31. It maps to the allocator with
+	// the one-rung ladder {N}.
 	AggregationPrefixLen int `json:"aggregation_prefix_len"`
-	// CollateralAlloc replaces the fixed aggregation_prefix_len trigger
-	// with the collateral-aware allocator (internal/alloc): under table
+	// CollateralAlloc runs the collateral-aware allocator
+	// (internal/alloc) over a multi-length ladder: under table
 	// pressure, candidate prefixes at several lengths are priced in
 	// estimated collateral legit bytes (using the gateway's detection
-	// sketch when armed) and the cheapest cover is installed.
+	// sketch when armed) and the cheapest cover is installed. It wins
+	// over aggregation_prefix_len when both are set.
 	CollateralAlloc bool `json:"collateral_alloc"`
 	// AllocPrefixLens optionally names the allocator's candidate source
 	// prefix lengths (each 1..31); empty uses the built-in /28…/16
@@ -309,17 +311,16 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 		clients[ca] = contract.DefaultEndHost()
 	}
 	cfg := GatewayConfig{
-		Node:                 node,
-		Timers:               tm,
-		FilterCapacity:       c.Gateway.Capacity,
-		Clients:              clients,
-		Default:              contract.DefaultPeer(),
-		Secret:               []byte(c.Gateway.Secret),
-		Trace:                trace,
-		DataplaneShards:      c.Gateway.Shards,
-		Workers:              c.Gateway.Workers,
-		AggregationPrefixLen: c.Gateway.AggregationPrefixLen,
-		SnapshotPath:         c.Gateway.SnapshotPath,
+		Node:            node,
+		Timers:          tm,
+		FilterCapacity:  c.Gateway.Capacity,
+		Clients:         clients,
+		Default:         contract.DefaultPeer(),
+		Secret:          []byte(c.Gateway.Secret),
+		Trace:           trace,
+		DataplaneShards: c.Gateway.Shards,
+		Workers:         c.Gateway.Workers,
+		SnapshotPath:    c.Gateway.SnapshotPath,
 	}
 	if c.Gateway.CtrlMaxAttempts > 1 {
 		rto := time.Duration(c.Gateway.CtrlRtoMs) * time.Millisecond
@@ -332,12 +333,15 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 			Jitter:      c.Gateway.CtrlJitter,
 		}
 	}
-	if c.Gateway.CollateralAlloc {
+	switch {
+	case c.Gateway.CollateralAlloc:
 		pol := &alloc.Policy{}
 		for _, l := range c.Gateway.AllocPrefixLens {
 			pol.PrefixLens = append(pol.PrefixLens, uint8(l))
 		}
 		cfg.Allocation = pol
+	case c.Gateway.AggregationPrefixLen > 0:
+		cfg.Allocation = &alloc.Policy{PrefixLens: []uint8{uint8(c.Gateway.AggregationPrefixLen)}}
 	}
 	if c.Gateway.ClusterPeers >= 2 {
 		seed := c.Gateway.ClusterHashSeed

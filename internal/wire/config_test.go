@@ -2,9 +2,11 @@ package wire
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"aitf/internal/alloc"
 	"aitf/internal/flow"
 )
 
@@ -68,11 +70,40 @@ func TestParseGatewayConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agcfg.AggregationPrefixLen != 24 {
-		t.Fatalf("aggregation_prefix_len not propagated: %+v", agcfg.AggregationPrefixLen)
+	// The fixed /N knob is the allocator with the one-rung ladder {N}.
+	if agcfg.Allocation == nil {
+		t.Fatal("aggregation_prefix_len did not materialise an allocation policy")
 	}
-	if agcfg.Allocation != nil {
-		t.Fatal("fixed-policy config grew an allocation policy")
+	if lens := agcfg.Allocation.Lens(); len(lens) != 1 || lens[0] != 24 {
+		t.Fatalf("aggregation_prefix_len 24 gave ladder %v, want [24]", lens)
+	}
+	if gcfg.Allocation != nil {
+		t.Fatalf("config without aggregation knobs grew an allocation policy: %+v", gcfg.Allocation)
+	}
+	// With both knobs set, collateral_alloc's ladder wins over the
+	// fixed length — explicit or the default ladder alike.
+	for _, tc := range []struct {
+		gw   string
+		want []uint8
+	}{
+		{`"aggregation_prefix_len":20,"collateral_alloc":true,"alloc_prefix_lens":[28,26]`, []uint8{28, 26}},
+		{`"aggregation_prefix_len":20,"collateral_alloc":true`, alloc.DefaultPrefixLens},
+	} {
+		js := `{"role":"gateway","addr":"1.1.1.1","gateway":{` + tc.gw + `}}`
+		both, err := ParseFileConfig([]byte(js))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bcfg, err := both.GatewayConfig(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bcfg.Allocation == nil {
+			t.Fatalf("%s: no allocation policy", js)
+		}
+		if lens := bcfg.Allocation.Lens(); !slices.Equal(lens, tc.want) {
+			t.Fatalf("%s: ladder %v, want collateral_alloc's %v", js, lens, tc.want)
+		}
 	}
 	// The collateral-aware allocator knobs round-trip too: bare
 	// collateral_alloc yields the default ladder, alloc_prefix_lens

@@ -70,18 +70,14 @@ type GatewayConfig struct {
 	// data packets are classified and forwarded by a pool instead of
 	// the socket's receive goroutine. 0 classifies inline.
 	Workers int
-	// AggregationPrefixLen enables the §IV filter-table-pressure
-	// fallback: when a victim-side temporary filter is rejected for
-	// capacity, sibling filters sharing a destination and a source /N
-	// are coalesced into one covering prefix filter and the install is
-	// retried. 0 disables aggregation.
-	AggregationPrefixLen int
-	// Allocation, when non-nil, replaces the fixed AggregationPrefixLen
-	// trigger with the collateral-aware allocator (internal/alloc):
-	// candidate prefixes at the policy's lengths are priced in
-	// estimated collateral legit bytes — using the gateway's detection
-	// sketch as the traffic view when armed — and the cheapest cover is
-	// installed.
+	// Allocation, when non-nil, enables the §IV filter-table-pressure
+	// fallback through the collateral-aware allocator (internal/alloc):
+	// when a victim-side temporary filter is rejected for capacity,
+	// candidate source-prefix aggregates at the policy's lengths are
+	// priced in estimated collateral legit bytes — using the gateway's
+	// detection sketch as the traffic view when armed — the cheapest
+	// cover is installed, and the install is retried. A one-rung
+	// ladder is the fixed /N policy. nil disables aggregation.
 	Allocation *alloc.Policy
 	// Detect configures the gateway-side sketch detection engine
 	// (internal/detect); armed only when ThresholdBps > 0 and
@@ -177,8 +173,8 @@ type Gateway struct {
 	StopOrders                          uint64
 	Aggregations                        uint64
 	// CollateralBytes accumulates the allocator's estimated collateral
-	// legit bytes per installed aggregate (0 under the fixed policy,
-	// which does not price candidates); mutated under mu.
+	// legit bytes per installed aggregate (0 without a traffic view,
+	// i.e. with gateway-side detection off); mutated under mu.
 	CollateralBytes uint64
 	// Detections counts gateway-side sketch detections (attacks
 	// flagged on behalf of protected legacy clients); mutated under mu.
@@ -698,71 +694,47 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 }
 
 // installWithAggregation is the victim-side install path with the §IV
-// fallback: on ErrTableFull (and with aggregation enabled), coalesce
-// sibling filters into covering prefix filters and retry once. With a
-// fixed policy the largest sibling group at the configured length is
-// taken; with the collateral-aware allocator, candidates at every
-// policy length are priced in estimated collateral legit bytes (via
-// the detection sketch when armed) and the cheapest cover freeing a
-// slot is installed. Called under mu.
+// fallback: on ErrTableFull (and with aggregation enabled), the
+// allocator prices candidate covers at every policy length in
+// estimated collateral legit bytes (via the detection sketch when
+// armed), the cheapest cover freeing a slot is installed, and the
+// install is retried once. Called under mu.
 func (g *Gateway) installWithAggregation(label flow.Label, now, exp sim.Time) error {
 	err := g.dp.Install(label, now, exp)
 	if err == nil {
 		g.clusterRecord(cluster.OpInstall, label, exp, now)
 		return nil
 	}
-	if !errors.Is(err, filter.ErrTableFull) {
+	if !errors.Is(err, filter.ErrTableFull) || g.cfg.Allocation == nil {
 		return err
 	}
-	if g.cfg.Allocation != nil {
-		cfg := alloc.Config{Policy: *g.cfg.Allocation}
-		if g.clu != nil && g.protected != nil {
-			// The cluster's merged detection view prices candidates —
-			// including traffic only a dead replica's frozen summary saw.
-			cfg.Traffic = g.clu
-			cfg.WindowSeconds = g.clu.DetectionWindow().Seconds()
-		} else if g.det != nil {
-			cfg.Traffic = alloc.DetectTraffic{Eng: g.det}
-			cfg.WindowSeconds = g.det.Config().Window.Seconds()
-		}
-		freed := false
-		for _, pick := range alloc.Choose(g.dp.FilterEntries(), 1, cfg).Picks {
-			replaced, aerr := g.dp.Aggregate(pick.Aggregate, pick.ChildLabels(), now, pick.MaxExpiry)
-			if aerr != nil || replaced < 2 {
-				continue
-			}
-			freed = true
-			g.Aggregations++
-			g.CollateralBytes += uint64(pick.LegitBytes)
-			g.clusterRecord(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
-			g.event("aggregated", pick.Aggregate,
-				fmt.Sprintf("table full: coalesced %d siblings, covers %d sources, est %dB/window collateral",
-					replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
-		}
-		if !freed {
-			return err
-		}
-		if ierr := g.dp.Install(label, now, exp); ierr != nil {
-			return ierr
-		}
-		g.clusterRecord(cluster.OpInstall, label, exp, now)
-		return nil
+	cfg := alloc.Config{Policy: *g.cfg.Allocation}
+	if g.clu != nil && g.protected != nil {
+		// The cluster's merged detection view prices candidates —
+		// including traffic only a dead replica's frozen summary saw.
+		cfg.Traffic = g.clu
+		cfg.WindowSeconds = g.clu.DetectionWindow().Seconds()
+	} else if g.det != nil {
+		cfg.Traffic = alloc.DetectTraffic{Eng: g.det}
+		cfg.WindowSeconds = g.det.Config().Window.Seconds()
 	}
-	if g.cfg.AggregationPrefixLen <= 0 {
+	freed := false
+	for _, pick := range alloc.Choose(g.dp.FilterEntries(), 1, cfg).Picks {
+		replaced, aerr := g.dp.Aggregate(pick.Aggregate, pick.ChildLabels(), now, pick.MaxExpiry)
+		if aerr != nil || replaced < 2 {
+			continue
+		}
+		freed = true
+		g.Aggregations++
+		g.CollateralBytes += uint64(pick.LegitBytes)
+		g.clusterRecord(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
+		g.event("aggregated", pick.Aggregate,
+			fmt.Sprintf("table full: coalesced %d siblings, covers %d sources, est %dB/window collateral",
+				replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
+	}
+	if !freed {
 		return err
 	}
-	groups := filter.SiblingGroups(g.dp.FilterEntries(), uint8(g.cfg.AggregationPrefixLen), 2)
-	if len(groups) == 0 {
-		return err
-	}
-	best := groups[0]
-	replaced, aerr := g.dp.Aggregate(best.Aggregate, best.ChildLabels(), now, best.MaxExpiry)
-	if aerr != nil || replaced < 2 {
-		return err
-	}
-	g.Aggregations++
-	g.clusterRecord(cluster.OpAggregate, best.Aggregate, best.MaxExpiry, now)
-	g.event("aggregated", best.Aggregate, fmt.Sprintf("table full: coalesced %d siblings", replaced))
 	if ierr := g.dp.Install(label, now, exp); ierr != nil {
 		return ierr
 	}

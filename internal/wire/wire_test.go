@@ -496,16 +496,16 @@ func TestLiveGatewayDetectionOverUDP(t *testing.T) {
 	}
 }
 
-// TestInstallWithAggregationAllocator drives the wire gateway's
-// table-full install path with the collateral-aware allocator: three
-// /28 siblings fill a three-slot table, a fourth unrelated install
-// triggers the allocator, and the siblings must be coalesced under a
-// /28 cover (the deepest, least-collateral rung) — not the /24 the
-// fixed policy would have taken — freeing the slot for the new filter.
-func TestInstallWithAggregationAllocator(t *testing.T) {
+// tableFullInstall boots a gateway from the given gateway JSON object,
+// fills its three-slot table with three /28 siblings, and drives one
+// more unrelated install through the table-full path, which must free
+// a slot by aggregation. It returns the aggregate prefix lengths left
+// installed.
+func tableFullInstall(t *testing.T, gatewayObj string) []uint8 {
+	t.Helper()
 	fc, err := ParseFileConfig([]byte(`{
 		"role":"gateway","addr":"10.0.0.1","listen":"127.0.0.1:0",
-		"gateway":{"filter_capacity":3,"collateral_alloc":true,"alloc_prefix_lens":[28,24]}}`))
+		"gateway":` + gatewayObj + `}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,25 +532,40 @@ func TestInstallWithAggregationAllocator(t *testing.T) {
 	err = g.installWithAggregation(fresh, now, exp)
 	g.mu.Unlock()
 	if err != nil {
-		t.Fatalf("allocator did not free a slot: %v", err)
+		t.Fatalf("aggregation did not free a slot: %v", err)
 	}
-	st := g.Stats()
-	if st.Aggregations != 1 {
+	if st := g.Stats(); st.Aggregations != 1 {
 		t.Fatalf("Aggregations = %d, want 1", st.Aggregations)
-	}
-	var agg28 bool
-	for _, fe := range g.dp.FilterEntries() {
-		if fe.Label.SrcPrefixLen == 24 {
-			t.Fatalf("allocator fell back to a /24 cover: %v", fe.Label)
-		}
-		if fe.Label.SrcPrefixLen == 28 {
-			agg28 = true
-		}
-	}
-	if !agg28 {
-		t.Fatal("no /28 aggregate installed over the siblings")
 	}
 	if _, ok := g.dp.Table().Lookup(fresh, now); !ok {
 		t.Fatal("triggering filter not installed after aggregation")
+	}
+	var lens []uint8
+	for _, fe := range g.dp.FilterEntries() {
+		if fe.Label.SrcPrefixLen != 0 {
+			lens = append(lens, fe.Label.SrcPrefixLen)
+		}
+	}
+	return lens
+}
+
+// TestInstallWithAggregationAllocator drives the wire gateway's
+// table-full install path with the collateral-aware allocator: the
+// siblings must be coalesced under a /28 cover (the deepest,
+// least-collateral rung) — not the /24 the fixed policy would have
+// taken.
+func TestInstallWithAggregationAllocator(t *testing.T) {
+	lens := tableFullInstall(t, `{"filter_capacity":3,"collateral_alloc":true,"alloc_prefix_lens":[28,24]}`)
+	if len(lens) != 1 || lens[0] != 28 {
+		t.Fatalf("aggregate prefix lengths %v, want one /28", lens)
+	}
+}
+
+// TestInstallWithAggregationFixed: aggregation_prefix_len runs the same
+// path as the one-rung ladder, so the siblings land under a /24 cover.
+func TestInstallWithAggregationFixed(t *testing.T) {
+	lens := tableFullInstall(t, `{"filter_capacity":3,"aggregation_prefix_len":24}`)
+	if len(lens) != 1 || lens[0] != 24 {
+		t.Fatalf("aggregate prefix lengths %v, want one /24", lens)
 	}
 }
