@@ -25,6 +25,17 @@
 //	  }
 //	}
 //
+// A gateway runs the simulator's own protocol engine (internal/core):
+// requests are policed per neighbour — the book entry owning the
+// sending socket, never an address the datagram claims — and verified
+// with the §II-E handshake; a victim-side gateway whose temporary
+// filter is not taken over escalates, and an attacker-side gateway
+// checks that its client obeyed the stop order and disconnects it if
+// not. JSON configures top-level gateways (no escalation provider;
+// wire.GatewayConfig.Provider sets one from Go). Data packets are
+// classified inline on the socket's receive goroutine; the former
+// "workers" key is gone and ignored if present.
+//
 // A host node instead carries a "host" object:
 //
 //	"host": {"gateway": "10.0.0.1", "detect_bps": 20000, "compliant": true}
@@ -68,14 +79,19 @@
 //
 // With "snapshot_path" set in the gateway object, the drain also
 // writes the gateway's durable state — filter table, shadow cache,
-// in-flight handshakes, counters — to that file, and the next boot
-// restores it with every original deadline honored (downtime is
-// charged against each entry's remaining lifetime), so a daemon
-// restart mid-attack keeps filtering. "ctrl_max_attempts",
-// "ctrl_rto_ms", and "ctrl_jitter" arm bounded control-plane
-// retransmission with exponential backoff; receivers drop duplicate
-// deliveries by transaction id, so retries never double-install a
-// filter or double-count a handshake.
+// watches, in-flight handshakes and compliance checks, disconnections,
+// counters — to that file, and the next boot restores it with every
+// original deadline honored (downtime is charged against each entry's
+// remaining lifetime), so a daemon restart mid-attack keeps filtering.
+// The file is the engine's own snapshot (schema version 2); a version-1
+// file from an older daemon is reported and the gateway starts fresh.
+// "ctrl_max_attempts", "ctrl_rto_ms", and "ctrl_jitter" arm bounded
+// control-plane retransmission with exponential backoff, each delay
+// spread by ±ctrl_jitter (older daemons spread it by [0, ctrl_jitter));
+// receivers drop duplicate deliveries by transaction id for twice the
+// longest retransmission ladder the configuration allows (at least
+// 3 s), so retries never double-install a filter or double-count a
+// handshake.
 //
 // See internal/wire.FileConfig for the full schema.
 package main

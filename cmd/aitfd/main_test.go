@@ -43,8 +43,7 @@ func TestStartGatewayFromJSON(t *testing.T) {
 	    "secret":  "s",
 	    "t_ms":    5000,
 	    "ttmp_ms": 500,
-	    "dataplane_shards": 4,
-	    "workers": 2
+	    "dataplane_shards": 4
 	  }
 	}`)
 	node, err := start(path, discardLogger())
@@ -80,13 +79,12 @@ func TestStartHostFromJSON(t *testing.T) {
 
 func TestStartRejectsBadConfigs(t *testing.T) {
 	cases := map[string]string{
-		"not json":         `{`,
-		"unknown role":     `{"role":"wizard","addr":"1.1.1.1"}`,
-		"negative workers": `{"role":"gateway","addr":"1.1.1.1","gateway":{"workers":-3}}`,
-		"negative shards":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"dataplane_shards":-1}}`,
-		"ttmp >= t":        `{"role":"gateway","addr":"1.1.1.1","gateway":{"t_ms":100,"ttmp_ms":200}}`,
-		"one peer":         `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":1}}`,
-		"fast merge":       `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":2,"cluster_merge_ms":50}}`,
+		"not json":        `{`,
+		"unknown role":    `{"role":"wizard","addr":"1.1.1.1"}`,
+		"negative shards": `{"role":"gateway","addr":"1.1.1.1","gateway":{"dataplane_shards":-1}}`,
+		"ttmp >= t":       `{"role":"gateway","addr":"1.1.1.1","gateway":{"t_ms":100,"ttmp_ms":200}}`,
+		"one peer":        `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":1}}`,
+		"fast merge":      `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":2,"cluster_merge_ms":50}}`,
 	}
 	for name, body := range cases {
 		path := writeCfg(t, "bad.json", body)
@@ -283,7 +281,8 @@ func TestAdminEndpointLiveAttack(t *testing.T) {
 
 // TestStartClusteredGateway boots a gateway running as a replica
 // cluster from JSON and scrapes its admin endpoint: the aitf_cluster_*
-// schema must be exposed and the exposition must stay parseable.
+// schema and the engine's aitf_gateway_* escalation counters must be
+// exposed and the exposition must stay parseable.
 func TestStartClusteredGateway(t *testing.T) {
 	path := writeCfg(t, "clu.json", `{
 	  "role": "gateway", "addr": "10.0.0.1", "name": "clu_gw",
@@ -317,6 +316,13 @@ func TestStartClusteredGateway(t *testing.T) {
 		"aitf_cluster_failovers_total",
 		"aitf_cluster_catchup_ops_total",
 		"aitf_cluster_catchup_ns_total",
+		// The engine's escalation and disconnection counters.
+		"aitf_gateway_escalations_total",
+		"aitf_gateway_long_blocks_total",
+		"aitf_gateway_shadow_reblocks_total",
+		"aitf_gateway_disconnects_total",
+		"aitf_gateway_disconnect_drops_total",
+		"aitf_gateway_spoof_drops_total",
 	} {
 		if metricValue(t, expo, want) < 0 {
 			t.Errorf("metric %s negative", want)

@@ -62,25 +62,20 @@ func main() {
 	tm := contract.Timers{T: 5 * time.Second, Ttmp: 500 * time.Millisecond,
 		Grace: 100 * time.Millisecond, Penalty: 5 * time.Second}
 
-	vgw, err := wire.NewGateway(wire.GatewayConfig{
-		Node:    wire.NodeConfig{Addr: vgwA, Name: "v_gw", NextHop: routes(vgwA)},
-		Timers:  tm,
-		Clients: map[flow.Addr]contract.Contract{victimA: contract.DefaultEndHost()},
-		Default: contract.DefaultPeer(),
-		Secret:  []byte("vgw-secret"),
-		Trace:   trace,
-	})
-	must(err)
+	gateway := func(name string, addr, client flow.Addr, secret string) *wire.Gateway {
+		cfg := wire.DefaultGatewayConfig()
+		cfg.Node = wire.NodeConfig{Addr: addr, Name: name, NextHop: routes(addr)}
+		cfg.Timers = tm
+		cfg.Clients[client] = contract.DefaultEndHost()
+		cfg.Secret = []byte(secret)
+		cfg.Trace = trace
+		g, err := wire.NewGateway(cfg)
+		must(err)
+		return g
+	}
+	vgw := gateway("v_gw", vgwA, victimA, "vgw-secret")
 	defer vgw.Close()
-	agw, err := wire.NewGateway(wire.GatewayConfig{
-		Node:    wire.NodeConfig{Addr: agwA, Name: "a_gw", NextHop: routes(agwA)},
-		Timers:  tm,
-		Clients: map[flow.Addr]contract.Contract{attackerA: contract.DefaultEndHost()},
-		Default: contract.DefaultPeer(),
-		Secret:  []byte("agw-secret"),
-		Trace:   trace,
-	})
-	must(err)
+	agw := gateway("a_gw", agwA, attackerA, "agw-secret")
 	defer agw.Close()
 	victim, err := wire.NewHost(wire.HostConfig{
 		Node:         wire.NodeConfig{Addr: victimA, Name: "victim", NextHop: routes(victimA)},
@@ -97,7 +92,7 @@ func main() {
 		Node:      wire.NodeConfig{Addr: attackerA, Name: "attacker", NextHop: routes(attackerA)},
 		Gateway:   agwA,
 		Timers:    tm,
-		Compliant: true, // it stops when ordered — try false and watch the filter hold
+		Compliant: true, // it stops when ordered — try false and watch a_gw disconnect it
 		Trace:     trace,
 	})
 	must(err)

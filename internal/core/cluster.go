@@ -55,7 +55,7 @@ func (g *Gateway) armClusterMerge() {
 	if g.clu == nil {
 		return
 	}
-	g.node.Engine().Schedule(g.clu.Config().MergeInterval(), func() {
+	g.env.After(g.clu.Config().MergeInterval(), func() {
 		if g.halted {
 			return
 		}

@@ -5,9 +5,11 @@
 // toward the attacker round by round (§II-B/II-D), and the
 // disconnection threat that makes cooperation rational (§III-A).
 //
-// core nodes plug into the netsim data plane as packet handlers; all
-// state machines run on simulated virtual time, so the same code is
-// exercised identically across experiments.
+// core nodes plug into the netsim data plane as packet handlers, where
+// every state machine runs on simulated virtual time, so the same code
+// is exercised identically across experiments. A gateway reaches the
+// outside world only through its Env, so the UDP runtime
+// (internal/wire) runs this same engine over sockets and wall time.
 package core
 
 import (

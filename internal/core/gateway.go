@@ -227,7 +227,7 @@ type vwatch struct {
 	haveSeen    bool
 	tempUntil   sim.Time
 	installedAt sim.Time
-	check       *sim.Event
+	check       Timer
 	// reqTok/escTok cancel the reliable-send ladders for this watch's
 	// outstanding attacker-gateway request and provider escalation.
 	reqTok uint64
@@ -239,7 +239,7 @@ type pending struct {
 	req      *packet.FilterReq
 	nonce    uint64
 	deadline sim.Time // absolute handshake timeout, kept for snapshots
-	timer    *sim.Event
+	timer    Timer
 	tok      uint64 // reliable-send ladder of the verification query
 }
 
@@ -260,7 +260,7 @@ type compliance struct {
 	deadline sim.Time
 	lastSeen sim.Time
 	haveSeen bool
-	check    *sim.Event
+	check    Timer
 	tok      uint64 // reliable-send ladder of the stop order
 }
 
@@ -311,8 +311,9 @@ type Gateway struct {
 	// msgr is the reliable control messenger (nil = retransmission
 	// off); seenTxids dedups retransmitted control messages by
 	// (src, txid) so a duplicate delivery never re-runs side effects.
-	msgr      *messenger
-	seenTxids map[dedupKey]sim.Time
+	msgr        *messenger
+	seenTxids   map[dedupKey]sim.Time
+	dedupWindow sim.Time
 	// halted marks a crashed gateway: every scheduled closure becomes a
 	// no-op (see Halt).
 	halted bool
@@ -322,7 +323,10 @@ type Gateway struct {
 	// (the PR 6 race class, machine-checked by aitf-vet since PR 10).
 	stats  GatewayStats // aitf:atomic
 	tracer Tracer
-	node   *netsim.Node
+	env    Env
+	// node is the bound netsim node when the gateway runs in the
+	// simulator (Attach); nil under another transport.
+	node *netsim.Node
 }
 
 // batchScratch is the reusable run/verdict buffer pair ReceiveBatch
@@ -338,8 +342,8 @@ type batchScratch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// NewGateway builds a gateway handler; call Attach (or Node.SetHandler
-// via Attach) to bind it to a netsim node.
+// NewGateway builds a gateway; call Attach to bind it to a netsim node,
+// or Start to bind it to another transport's Env.
 func NewGateway(cfg GatewayConfig) *Gateway {
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = time.Second
@@ -354,6 +358,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		aggregates:   make(map[flow.Label]*aggregate),
 		disconnected: make(map[flow.Addr]sim.Time),
 		seenTxids:    make(map[dedupKey]sim.Time),
+		dedupWindow:  cfg.Control.DedupWindow(),
 	}
 	if cfg.Control.Enabled() {
 		g.msgr = newMessenger(g, cfg.Control)
@@ -397,18 +402,14 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 // gateway defends no legacy clients).
 func (g *Gateway) Detector() *detect.Engine { return g.det }
 
-// Attach binds the gateway to a node and installs it as the node's
-// packet handler.
-func (g *Gateway) Attach(n *netsim.Node, tr Tracer) {
-	g.node = n
+// Start binds the gateway to its environment and arms its recurring
+// timers. Packets may be handed to Handle from then on.
+func (g *Gateway) Start(env Env, tr Tracer) {
+	g.env = env
 	g.tracer = tr
-	g.rec = traceback.NewRecorder(n.Addr(), g.cfg.Secret)
-	n.SetHandler(g)
+	g.rec = traceback.NewRecorder(env.Addr(), g.cfg.Secret)
 	g.armClusterMerge()
 }
-
-// Node returns the bound netsim node.
-func (g *Gateway) Node() *netsim.Node { return g.node }
 
 // DataPlane exposes the sharded classification engine.
 func (g *Gateway) DataPlane() *dataplane.Engine { return g.dp }
@@ -421,10 +422,9 @@ func (g *Gateway) Shadows() dataplane.ShadowView { return g.dp.Shadow() }
 
 // Stats returns a snapshot of the gateway counters. Every counter is
 // mutated with atomic adds and read here with atomic loads, so Stats
-// is safe to call from any goroutine (an admin scraper, the wire
-// runtime's dispatcher workers) while the gateway is classifying — the
-// snapshot is per-field coherent, not a cross-field transaction, which
-// is all monitoring needs.
+// is safe to call from any goroutine (an admin scraper, a test) while
+// the gateway is classifying — the snapshot is per-field coherent, not
+// a cross-field transaction, which is all monitoring needs.
 func (g *Gateway) Stats() GatewayStats {
 	return GatewayStats{
 		DataForwarded:   atomic.LoadUint64(&g.stats.DataForwarded),
@@ -515,11 +515,11 @@ func (g *Gateway) Disconnected(neighbor flow.Addr) bool {
 	return g.disconnected[neighbor] > g.now()
 }
 
-func (g *Gateway) now() sim.Time { return g.node.Engine().Now() }
+func (g *Gateway) now() sim.Time { return g.env.Now() }
 
 func (g *Gateway) trace(k EventKind, f flow.Label, detail string) {
 	if g.tracer != nil {
-		g.tracer(Event{T: g.now(), Node: g.node.Name(), Kind: k, Flow: f, Detail: detail})
+		g.tracer(Event{T: g.now(), Node: g.env.Name(), Kind: k, Flow: f, Detail: detail})
 	}
 }
 
@@ -562,35 +562,40 @@ func (g *Gateway) outPolicer(client flow.Addr) *filter.Policer {
 	return p
 }
 
-// Receive implements netsim.Handler.
-func (g *Gateway) Receive(n *netsim.Node, p *packet.Packet, from *netsim.Iface) {
-	now := g.now()
-	if from != nil {
-		peer := from.Neighbor().Addr()
-		if g.disconnected[peer] > now {
-			atomic.AddUint64(&g.stats.DisconnectDrops, 1)
-			p.Release()
-			return
-		}
+// Handle processes one packet that arrived from the neighbour at from
+// (0 when the sender is unknown or local) and consumes it: every path
+// forwards or releases p.
+func (g *Gateway) Handle(p *packet.Packet, from flow.Addr) {
+	if g.refused(from) {
+		atomic.AddUint64(&g.stats.DisconnectDrops, 1)
+		p.Release()
+		return
 	}
 	if p.IsControl() {
-		if p.Dst == n.Addr() {
+		if p.Dst == g.env.Addr() {
 			g.handleControl(p, from)
+			p.Release() // handlers keep at most p.Msg, which Release leaves alone
 			return
 		}
-		n.Forward(p)
+		g.env.Forward(p)
 		return
 	}
 	g.handleData(p, from)
 }
 
+// refused reports whether from is a neighbour serving a disconnection
+// penalty.
+func (g *Gateway) refused(from flow.Addr) bool {
+	return from != 0 && len(g.disconnected) > 0 && g.disconnected[from] > g.now()
+}
+
 // dropSpoofed applies ingress filtering (§III-A): spoofed sources from
 // clients whose legitimate addresses are known are dropped.
-func (g *Gateway) dropSpoofed(p *packet.Packet, from *netsim.Iface) bool {
-	if from == nil {
+func (g *Gateway) dropSpoofed(p *packet.Packet, from flow.Addr) bool {
+	if from == 0 {
 		return false
 	}
-	valid, ok := g.cfg.IngressValidSrc[from.Neighbor().Addr()]
+	valid, ok := g.cfg.IngressValidSrc[from]
 	if !ok || len(valid) == 0 {
 		return false
 	}
@@ -603,7 +608,7 @@ func (g *Gateway) dropSpoofed(p *packet.Packet, from *netsim.Iface) bool {
 	return true
 }
 
-func (g *Gateway) handleData(p *packet.Packet, from *netsim.Iface) {
+func (g *Gateway) handleData(p *packet.Packet, from flow.Addr) {
 	if g.dropSpoofed(p, from) {
 		p.Release()
 		return
@@ -617,7 +622,7 @@ func (g *Gateway) handleData(p *packet.Packet, from *netsim.Iface) {
 // handling, gateway-side detection, and forwarding with route record.
 // observed marks packets the batch path already ran through the
 // detection engine.
-func (g *Gateway) applyData(p *packet.Packet, from *netsim.Iface, v dataplane.Verdict, observed bool) {
+func (g *Gateway) applyData(p *packet.Packet, from flow.Addr, v dataplane.Verdict, observed bool) {
 	now := g.now()
 	key := flow.PairLabel(p.Src, p.Dst).Key()
 
@@ -626,12 +631,12 @@ func (g *Gateway) applyData(p *packet.Packet, from *netsim.Iface, v dataplane.Ve
 	if w, ok := g.watches[key]; ok {
 		w.lastSeen = now
 		w.haveSeen = true
-		if from != nil {
-			w.ingress = from.Neighbor().Addr()
+		if from != 0 {
+			w.ingress = from
 		}
 	}
 	if c, ok := g.compliance[key]; ok {
-		if from != nil && from.Neighbor().Addr() == c.client {
+		if from != 0 && from == c.client {
 			c.lastSeen = now
 			c.haveSeen = true
 		}
@@ -669,46 +674,42 @@ func (g *Gateway) applyData(p *packet.Packet, from *netsim.Iface, v dataplane.Ve
 		}
 	}
 
-	if p.Dst == g.node.Addr() {
+	if p.Dst == g.env.Addr() {
 		p.Release() // traffic addressed to the router itself is absorbed
 		return
 	}
 
 	// AITF border routers record the route on transit data packets.
 	if len(p.Path) < packet.MaxPathLen {
-		p.RecordRoute(g.node.Addr(), g.rec.Nonce(rrTuple(p.Src, p.Dst)))
+		p.RecordRoute(g.env.Addr(), g.rec.Nonce(rrTuple(p.Src, p.Dst)))
 	}
-	if g.node.Forward(p) {
+	if g.env.Forward(p) {
 		atomic.AddUint64(&g.stats.DataForwarded, 1)
 	}
 }
 
-// ReceiveBatch implements netsim.BatchHandler: data packets between
-// control packets are classified through the data plane's batch API,
-// then finished per packet in arrival order. Control packets flush the
-// pending run first, since serving one can install filters that must
-// apply to the data packets behind it.
-func (g *Gateway) ReceiveBatch(n *netsim.Node, ps []*packet.Packet, from *netsim.Iface) {
+// handleBatch is Handle for a run of packets from one neighbour: data
+// packets between control packets are classified through the data
+// plane's batch API, then finished per packet in arrival order.
+// Control packets flush the pending run first, since serving one can
+// install filters that must apply to the data packets behind it.
+func (g *Gateway) handleBatch(ps []*packet.Packet, from flow.Addr) {
 	// GatewayAuto can install a filter from the data path itself (a
 	// shadow reappearance re-blocks instantly), which would stale the
 	// precomputed verdicts of later packets in the same run; take the
 	// exact per-packet path there.
 	if g.cfg.ShadowMode == GatewayAuto {
 		for _, p := range ps {
-			g.Receive(n, p, from)
+			g.Handle(p, from)
 		}
 		return
 	}
-	now := g.now()
-	if from != nil {
-		peer := from.Neighbor().Addr()
-		if g.disconnected[peer] > now {
-			atomic.AddUint64(&g.stats.DisconnectDrops, uint64(len(ps)))
-			for _, p := range ps {
-				p.Release()
-			}
-			return
+	if g.refused(from) {
+		atomic.AddUint64(&g.stats.DisconnectDrops, uint64(len(ps)))
+		for _, p := range ps {
+			p.Release()
 		}
+		return
 	}
 	sc := batchPool.Get().(*batchScratch)
 	run := sc.run[:0]
@@ -726,10 +727,11 @@ func (g *Gateway) ReceiveBatch(n *netsim.Node, ps []*packet.Packet, from *netsim
 	for _, p := range ps {
 		if p.IsControl() {
 			flush()
-			if p.Dst == n.Addr() {
+			if p.Dst == g.env.Addr() {
 				g.handleControl(p, from)
+				p.Release()
 			} else {
-				n.Forward(p)
+				g.env.Forward(p)
 			}
 			continue
 		}
@@ -843,19 +845,19 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 	evidence := make(traceback.AttackPath, 0, len(path)+1)
 	evidence = append(evidence, path...)
 	evidence = append(evidence, packet.RREntry{
-		Router: g.node.Addr(),
+		Router: g.env.Addr(),
 		Nonce:  g.rec.Nonce(rrTuple(label.Src, label.Dst)),
 	})
 	w := &vwatch{
 		label:    label,
-		victim:   g.node.Addr(),
+		victim:   g.env.Addr(),
 		evidence: evidence,
 		round:    1,
 	}
 	g.watches[label.Key()] = w
 	g.installTemp(w)
 	if g.cfg.ShadowMode != ShadowOff {
-		if g.dp.LogShadow(label, g.node.Addr(), now, now+sim.Time(g.cfg.Timers.T)) {
+		if g.dp.LogShadow(label, g.env.Addr(), now, now+sim.Time(g.cfg.Timers.T)) {
 			g.trace(EvShadowLogged, label, "")
 		}
 	}
@@ -864,7 +866,7 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 	g.scheduleWatchGC(w)
 }
 
-func (g *Gateway) handleControl(p *packet.Packet, from *netsim.Iface) {
+func (g *Gateway) handleControl(p *packet.Packet, from flow.Addr) {
 	atomic.AddUint64(&g.stats.MsgProcessed, 1)
 	switch m := p.Msg.(type) {
 	case *packet.FilterReq:
@@ -880,7 +882,7 @@ func (g *Gateway) handleControl(p *packet.Packet, from *netsim.Iface) {
 
 // ── Victim-side behaviour ─────────────────────────────────────────────
 
-func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from *netsim.Iface) {
+func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from flow.Addr) {
 	now := g.now()
 	// Retransmission dedup comes first: a duplicate delivery of a
 	// reliable send must be wholly side-effect-free — it may not eat a
@@ -895,7 +897,7 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from *n
 	g.trace(EvRequestReceived, m.Flow, fmt.Sprintf("stage %v round %d from %v", m.Stage, m.Round, p.Src))
 
 	// Contract policing per ingress neighbor (§II-B).
-	if from == nil || !g.inPolicer(from.Neighbor().Addr()).Allow(now) {
+	if from == 0 || !g.inPolicer(from).Allow(now) {
 		atomic.AddUint64(&g.stats.ReqPoliced, 1)
 		g.trace(EvRequestPoliced, m.Flow, "over contract rate")
 		return
@@ -916,20 +918,20 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from *n
 
 // handleVictimSideRequest serves a filtering request from our own
 // client: the victim itself, or a downstream gateway escalating.
-func (g *Gateway) handleVictimSideRequest(p *packet.Packet, m *packet.FilterReq, from *netsim.Iface) {
+func (g *Gateway) handleVictimSideRequest(p *packet.Packet, m *packet.FilterReq, from flow.Addr) {
 	now := g.now()
 	label := m.Flow.Canonical()
 
 	// Trivial verification (§II-E): the requester must be the node we
 	// route the flow's destination through — i.e. the flow's target is
 	// the requester or sits behind it.
-	hop := g.node.NextHop(label.Dst)
-	if hop == nil || from == nil || hop.Neighbor() != from.Neighbor() {
+	hop, ok := g.env.NextHop(label.Dst)
+	if !ok || from == 0 || hop != from {
 		atomic.AddUint64(&g.stats.ReqInvalid, 1)
 		g.trace(EvRequestInvalid, label, "requester not on path to flow destination")
 		return
 	}
-	if _, isClient := g.cfg.Clients[from.Neighbor().Addr()]; !isClient {
+	if _, isClient := g.cfg.Clients[from]; !isClient {
 		atomic.AddUint64(&g.stats.ReqInvalid, 1)
 		g.trace(EvRequestInvalid, label, "requester is not a client")
 		return
@@ -991,7 +993,7 @@ func (g *Gateway) handleVictimSideRequest(p *packet.Packet, m *packet.FilterReq,
 // scheduleWatchGC arms the periodic reclamation of a watch once both
 // its filter and its shadow entry have lapsed and the flow is gone.
 func (g *Gateway) scheduleWatchGC(w *vwatch) {
-	g.node.Engine().Schedule(
+	g.env.After(
 		sim.Time(g.cfg.Timers.T)+sim.Time(g.cfg.Timers.Ttmp),
 		func() { g.watchGC(w) })
 }
@@ -1189,7 +1191,7 @@ func (g *Gateway) armAggregateReview() {
 		return
 	}
 	g.reviewArmed = true
-	g.node.Engine().Schedule(sim.Time(g.cfg.Timers.Ttmp), func() { g.aggregateReview() })
+	g.env.After(sim.Time(g.cfg.Timers.Ttmp), func() { g.aggregateReview() })
 }
 
 // aggregateReview reclaims expired aggregates and — when the table has
@@ -1356,7 +1358,7 @@ func (g *Gateway) sendToAttackerGateway(w *vwatch) {
 	round := uint8(min(w.round, 255))
 	g.trace(EvRequestSent, w.label, fmt.Sprintf("to attacker-gw %v round %d", target, w.round))
 	w.reqTok = g.reliableSend(w.label, func(txid uint64) *packet.Packet {
-		return packet.NewControl(g.node.Addr(), target, &packet.FilterReq{
+		return packet.NewControl(g.env.Addr(), target, &packet.FilterReq{
 			Stage:    packet.StageToAttackerGW,
 			Flow:     w.label,
 			Duration: g.cfg.Timers.T,
@@ -1373,7 +1375,7 @@ func (g *Gateway) sendToAttackerGateway(w *vwatch) {
 // gateway (last on the path) targets the attacker's gateway (first);
 // the k-th victim-side router targets the k-th attacker-side router.
 func (g *Gateway) roundTarget(w *vwatch) (flow.Addr, error) {
-	idx := w.evidence.IndexOf(g.node.Addr())
+	idx := w.evidence.IndexOf(g.env.Addr())
 	if idx < 0 {
 		return 0, traceback.ErrNotOnPath
 	}
@@ -1392,7 +1394,7 @@ func (g *Gateway) scheduleTakeoverCheck(w *vwatch) {
 		w.check.Cancel()
 	}
 	installedAt := w.installedAt
-	w.check = g.node.Engine().Schedule(sim.Time(g.cfg.Timers.Ttmp), func() {
+	w.check = g.env.After(sim.Time(g.cfg.Timers.Ttmp), func() {
 		g.takeoverCheck(w, installedAt)
 	})
 }
@@ -1439,12 +1441,12 @@ func (g *Gateway) reblockAndEscalate(w *vwatch) {
 		round := uint8(min(w.round, 255))
 		g.trace(EvRequestSent, w.label, fmt.Sprintf("escalate to provider %v round %d", g.cfg.Provider, w.round))
 		w.escTok = g.reliableSend(w.label, func(txid uint64) *packet.Packet {
-			return packet.NewControl(g.node.Addr(), g.cfg.Provider, &packet.FilterReq{
+			return packet.NewControl(g.env.Addr(), g.cfg.Provider, &packet.FilterReq{
 				Stage:    packet.StageToVictimGW,
 				Flow:     w.label,
 				Duration: g.cfg.Timers.T,
 				Round:    round,
-				Victim:   g.node.Addr(), // we now play the victim (§II-B)
+				Victim:   g.env.Addr(), // we now play the victim (§II-B)
 				Evidence: append([]packet.RREntry(nil), w.evidence...),
 				Txid:     txid,
 			})
@@ -1487,7 +1489,7 @@ func (g *Gateway) disconnect(neighbor flow.Addr, label flow.Label) {
 	g.disconnected[neighbor] = now + sim.Time(g.cfg.Timers.Penalty)
 	atomic.AddUint64(&g.stats.Disconnects, 1)
 	g.trace(EvDisconnected, label, fmt.Sprintf("neighbor %v for %v", neighbor, g.cfg.Timers.Penalty))
-	g.node.Originate(packet.NewControl(g.node.Addr(), neighbor, &packet.Disconnect{
+	g.env.Originate(packet.NewControl(g.env.Addr(), neighbor, &packet.Disconnect{
 		Client:  neighbor,
 		Flow:    label,
 		Penalty: g.cfg.Timers.Penalty,
@@ -1498,7 +1500,7 @@ func (g *Gateway) disconnect(neighbor flow.Addr, label flow.Label) {
 
 // handleAttackerSideRequest serves a request claiming we are the
 // attacker's gateway: verify with the 3-way handshake, then filter.
-func (g *Gateway) handleAttackerSideRequest(p *packet.Packet, m *packet.FilterReq, from *netsim.Iface) {
+func (g *Gateway) handleAttackerSideRequest(p *packet.Packet, m *packet.FilterReq, from flow.Addr) {
 	label := m.Flow.Canonical()
 	if !g.cfg.Cooperative {
 		// The non-cooperating gateway of §IV-A.1: silently ignores.
@@ -1525,7 +1527,7 @@ func (g *Gateway) handleAttackerSideRequest(p *packet.Packet, m *packet.FilterRe
 		g.trace(EvHandshakeFailed, label, "superseded by a newer request")
 	}
 	now := g.now()
-	nonce := g.node.Engine().Rand().Uint64()
+	nonce := g.env.Rand().Uint64()
 	pend := &pending{req: m, nonce: nonce, deadline: now + sim.Time(g.cfg.HandshakeTimeout)}
 	g.pendings[label.Key()] = pend
 	atomic.AddUint64(&g.stats.HandshakesStarted, 1)
@@ -1535,10 +1537,10 @@ func (g *Gateway) handleAttackerSideRequest(p *packet.Packet, m *packet.FilterRe
 	pend.tok = g.reliableSend(label, func(uint64) *packet.Packet {
 		// The nonce itself is the dedup key here: duplicate queries get
 		// duplicate (idempotent) replies, so no txid is needed.
-		return packet.NewControl(g.node.Addr(), victim,
+		return packet.NewControl(g.env.Addr(), victim,
 			&packet.VerifyQuery{Flow: mflow, Nonce: nonce})
 	})
-	pend.timer = g.node.Engine().Schedule(sim.Time(g.cfg.HandshakeTimeout), func() {
+	pend.timer = g.env.After(sim.Time(g.cfg.HandshakeTimeout), func() {
 		if g.pendings[label.Key()] == pend {
 			delete(g.pendings, label.Key())
 			g.cancelReliable(pend.tok)
@@ -1567,7 +1569,7 @@ func (g *Gateway) handleVerifyQuery(p *packet.Packet, m *packet.VerifyQuery) {
 	g.trace(EvHandshakeReply, label, fmt.Sprintf("to %v", p.Src))
 	src, mflow, nonce := p.Src, m.Flow, m.Nonce
 	g.reliableReply(label, func() *packet.Packet {
-		return packet.NewControl(g.node.Addr(), src,
+		return packet.NewControl(g.env.Addr(), src,
 			&packet.VerifyReply{Flow: mflow, Nonce: nonce})
 	})
 }
@@ -1595,7 +1597,7 @@ func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 	}
 	g.trace(EvFilterInstalled, label, fmt.Sprintf("for %v", g.cfg.Timers.T))
 	g.clusterRecord(cluster.OpInstall, label, exp)
-	g.node.Engine().Schedule(sim.Time(g.cfg.Timers.T), func() { g.dp.Expire(g.now()) })
+	g.env.After(sim.Time(g.cfg.Timers.T), func() { g.dp.Expire(g.now()) })
 
 	g.orderClientToStop(label)
 }
@@ -1605,11 +1607,10 @@ func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 // network it sits behind (§II-C ii, §II-D).
 func (g *Gateway) orderClientToStop(label flow.Label) {
 	now := g.now()
-	hop := g.node.NextHop(label.Src)
-	if hop == nil {
+	client, ok := g.env.NextHop(label.Src)
+	if !ok {
 		return // source unroutable (e.g. spoofed): our filter suffices
 	}
-	client := hop.Neighbor().Addr()
 	if !g.outPolicer(client).Allow(now) {
 		// Beyond the R2 contract rate we may not burden the client;
 		// our own filter keeps blocking regardless (§IV-C).
@@ -1625,15 +1626,15 @@ func (g *Gateway) orderClientToStop(label flow.Label) {
 	}
 	g.compliance[label.Key()] = comp
 	comp.tok = g.reliableSend(label, func(txid uint64) *packet.Packet {
-		return packet.NewControl(g.node.Addr(), client, &packet.FilterReq{
+		return packet.NewControl(g.env.Addr(), client, &packet.FilterReq{
 			Stage:    packet.StageToAttacker,
 			Flow:     label,
 			Duration: g.cfg.Timers.T,
-			Victim:   g.node.Addr(),
+			Victim:   g.env.Addr(),
 			Txid:     txid,
 		})
 	})
-	comp.check = g.node.Engine().Schedule(
+	comp.check = g.env.After(
 		2*sim.Time(g.cfg.Timers.Grace), func() { g.complianceCheck(comp) })
 }
 

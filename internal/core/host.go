@@ -264,13 +264,13 @@ func (h *Host) handleControl(p *packet.Packet) {
 		}
 		if m.Txid != 0 {
 			k := dedupKey{p.Src, m.Txid}
-			if seen, ok := h.seenTxids[k]; ok && now-seen < dedupWindow {
+			if seen, ok := h.seenTxids[k]; ok && now-seen < minDedupWindow {
 				h.stats.CtrlDupDrops++
 				return
 			}
 			if len(h.seenTxids) > 1024 {
 				for k2, t := range h.seenTxids {
-					if now-t >= dedupWindow {
+					if now-t >= minDedupWindow {
 						delete(h.seenTxids, k2)
 					}
 				}

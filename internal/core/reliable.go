@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -41,7 +42,7 @@ type relSend struct {
 	build       func(txid uint64) *packet.Packet
 	attempts    int
 	maxAttempts int
-	timer       *sim.Event
+	timer       Timer
 }
 
 // messenger is the retransmission engine. It runs entirely on the
@@ -85,7 +86,7 @@ func (m *messenger) transmit(s *relSend) {
 		atomic.AddUint64(&m.g.stats.CtrlRetransmits, 1)
 		m.g.trace(EvCtrlRetransmit, s.label, fmt.Sprintf("attempt %d/%d", s.attempts, s.maxAttempts))
 	}
-	m.g.node.Originate(s.build(s.id))
+	m.g.env.Originate(s.build(s.id))
 	if s.attempts >= s.maxAttempts {
 		// Budget spent: the ladder terminates unconditionally. Loss
 		// recovery beyond this point falls to the protocol's own
@@ -93,7 +94,7 @@ func (m *messenger) transmit(s *relSend) {
 		delete(m.outstanding, s.id)
 		return
 	}
-	s.timer = m.g.node.Engine().Schedule(m.backoff(s.attempts), func() {
+	s.timer = m.g.env.After(m.backoff(s.attempts), func() {
 		if m.outstanding[s.id] == s {
 			m.transmit(s)
 		}
@@ -105,7 +106,7 @@ func (m *messenger) transmit(s *relSend) {
 func (m *messenger) backoff(attempt int) sim.Time {
 	d := sim.Time(m.cfg.RTO) * (1 << (attempt - 1))
 	if m.cfg.Jitter > 0 {
-		f := 1 + m.cfg.Jitter*(2*m.g.node.Engine().Rand().Float64()-1)
+		f := 1 + m.cfg.Jitter*(2*m.g.env.Rand().Float64()-1)
 		d = sim.Time(float64(d) * f)
 	}
 	if d < sim.Time(time.Millisecond) {
@@ -142,7 +143,7 @@ func (m *messenger) stopAll() {
 // (0 when no ladder was armed).
 func (g *Gateway) reliableSend(label flow.Label, build func(txid uint64) *packet.Packet) uint64 {
 	if g.msgr == nil {
-		g.node.Originate(build(0))
+		g.env.Originate(build(0))
 		return 0
 	}
 	return g.msgr.send(label, build)
@@ -154,7 +155,7 @@ func (g *Gateway) reliableSend(label flow.Label, build func(txid uint64) *packet
 // cover repeated loss.
 func (g *Gateway) reliableReply(label flow.Label, build func() *packet.Packet) {
 	if g.msgr == nil {
-		g.node.Originate(build())
+		g.env.Originate(build())
 		return
 	}
 	n := 2
@@ -182,6 +183,11 @@ func (g *Gateway) OutstandingReliable() int {
 	return len(g.msgr.outstanding)
 }
 
+// Policers returns how many per-neighbour request policers the gateway
+// holds: one per neighbour that sent a request, however many routers
+// the requests' evidence names.
+func (g *Gateway) Policers() int { return len(g.inPolicers) }
+
 // PendingHandshakes returns the attacker-side handshakes awaiting
 // their verification reply, for the accounting balance
 // HandshakesStarted == HandshakesOK + HandshakesFailed + pending.
@@ -194,10 +200,30 @@ type dedupKey struct {
 	txid uint64
 }
 
-// dedupWindow is how long a (src, txid) stays remembered — comfortably
-// past the longest retransmission ladder, bounded so the map cannot
-// grow without limit.
-const dedupWindow = 3 * time.Second
+// minDedupWindow is the floor of DedupWindow: short ladders (and
+// gateways that never retransmit themselves) still remember a txid
+// this long.
+const minDedupWindow = 3 * time.Second
+
+// DedupWindow is how long a receiver remembers a (src, txid): twice the
+// span of the longest retransmission ladder this configuration can
+// produce — RTO·(2^(n−1)−1) stretched by the maximum jitter — and
+// never less than minDedupWindow. A window shorter than the ladder
+// would let a late retransmission through as a fresh request; the
+// bound keeps the map from growing without limit.
+func (c ControlConfig) DedupWindow() time.Duration {
+	if !c.Enabled() {
+		return minDedupWindow
+	}
+	span := float64(c.RTO) * (math.Exp2(float64(c.MaxAttempts-1)) - 1) * (1 + c.Jitter)
+	if w := 2 * span; w > float64(minDedupWindow) {
+		if w >= math.MaxInt64 {
+			return math.MaxInt64
+		}
+		return time.Duration(w)
+	}
+	return minDedupWindow
+}
 
 // isDuplicate records (src, txid) and reports whether it was already
 // seen within the dedup window. Txid 0 (senders without a messenger)
@@ -207,12 +233,12 @@ func (g *Gateway) isDuplicate(src flow.Addr, txid uint64, now sim.Time) bool {
 		return false
 	}
 	k := dedupKey{src, txid}
-	if seen, ok := g.seenTxids[k]; ok && now-seen < dedupWindow {
+	if seen, ok := g.seenTxids[k]; ok && now-seen < g.dedupWindow {
 		return true
 	}
 	if len(g.seenTxids) > 4096 {
 		for k2, t := range g.seenTxids {
-			if now-t >= dedupWindow {
+			if now-t >= g.dedupWindow {
 				delete(g.seenTxids, k2)
 			}
 		}

@@ -6,6 +6,7 @@ package core_test
 // snapshot.
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -303,5 +304,37 @@ func TestCrashRestoreLedgerSurvives(t *testing.T) {
 	}
 	if g.OutstandingReliable() != 0 {
 		t.Fatalf("%d retransmission ladders still outstanding", g.OutstandingReliable())
+	}
+}
+
+// TestDedupWindowCoversLadder: a receiver remembers a txid for twice
+// the longest ladder its control config can produce — so the last
+// retransmission of that ladder is still recognised as a duplicate —
+// and never for less than the 3 s floor.
+func TestDedupWindowCoversLadder(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  aitf.ControlConfig
+		want time.Duration
+	}{
+		{aitf.ControlConfig{}, 3 * time.Second}, // retransmission off
+		// The simulator's ladder spans 840 ms (1.05 s jittered): floor.
+		{aitf.ControlConfig{MaxAttempts: 4, RTO: 120 * time.Millisecond, Jitter: 0.25}, 3 * time.Second},
+		// Seven attempts at the daemon's default RTO: the last copy goes
+		// out 15.75 s after the first.
+		{aitf.ControlConfig{MaxAttempts: 7, RTO: 250 * time.Millisecond}, 31500 * time.Millisecond},
+		{aitf.ControlConfig{MaxAttempts: 7, RTO: 250 * time.Millisecond, Jitter: 0.5}, 47250 * time.Millisecond},
+		// A ladder too long to represent saturates instead of wrapping.
+		{aitf.ControlConfig{MaxAttempts: 200, RTO: time.Second}, math.MaxInt64},
+	} {
+		if got := tc.cfg.DedupWindow(); got != tc.want {
+			t.Errorf("%+v: DedupWindow = %v, want %v", tc.cfg, got, tc.want)
+		}
+		if !tc.cfg.Enabled() {
+			continue
+		}
+		span := time.Duration(float64(tc.cfg.RTO) * (math.Exp2(float64(tc.cfg.MaxAttempts-1)) - 1) * (1 + tc.cfg.Jitter))
+		if span > 0 && tc.cfg.DedupWindow() <= span {
+			t.Errorf("%+v: window %v does not outlast the %v ladder", tc.cfg, tc.cfg.DedupWindow(), span)
+		}
 	}
 }

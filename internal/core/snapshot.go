@@ -67,9 +67,9 @@ type DisconnectSnapshot struct {
 }
 
 // GatewaySnapshot is a point-in-time serialization of a gateway's
-// durable protocol state. All times are absolute virtual times; the
-// wire runtime's on-disk form converts them to remaining durations
-// (see internal/wire).
+// durable protocol state. All times are absolute times on the
+// gateway's Env clock; a restore under another clock rebases them with
+// Shift first (see internal/wire).
 type GatewaySnapshot struct {
 	TakenAt      sim.Time
 	Stats        GatewayStats
@@ -92,6 +92,53 @@ type GatewaySnapshot struct {
 }
 
 func labelLess(a, b flow.Label) bool { return a.String() < b.String() }
+
+// Shift moves every absolute time in the snapshot by d. A snapshot
+// restored under another clock — a restarted daemon's — is rebased
+// with it before Restore.
+func (s *GatewaySnapshot) Shift(d sim.Time) {
+	s.TakenAt += d
+	for i := range s.Filters {
+		s.Filters[i].InstalledAt += d
+		s.Filters[i].ExpiresAt += d
+	}
+	for i := range s.Shadows {
+		s.Shadows[i].LoggedAt += d
+		s.Shadows[i].ExpiresAt += d
+	}
+	for i := range s.Watches {
+		w := &s.Watches[i]
+		w.LastSeen += d
+		w.TempUntil += d
+		w.InstalledAt += d
+	}
+	for i := range s.Pendings {
+		s.Pendings[i].Deadline += d
+	}
+	for i := range s.Compliance {
+		c := &s.Compliance[i]
+		c.Deadline += d
+		c.LastSeen += d
+		c.CheckAt += d
+	}
+	for i := range s.Aggregates {
+		a := &s.Aggregates[i]
+		a.Exp += d
+		for j := range a.Children {
+			a.Children[j].InstalledAt += d
+			a.Children[j].ExpiresAt += d
+		}
+	}
+	for i := range s.Disconnected {
+		s.Disconnected[i].Until += d
+	}
+	if s.Cluster != nil {
+		for i := range s.Cluster.Ops {
+			s.Cluster.Ops[i].Expires += d
+			s.Cluster.Ops[i].At += d
+		}
+	}
+}
 
 // Snapshot captures the gateway's durable state. Output ordering is
 // deterministic (sorted by label), so snapshotting inside a seeded
@@ -196,7 +243,7 @@ func (g *Gateway) Halt() {
 // balances (handshakes started vs resolved) survive the crash.
 func (g *Gateway) Restore(snap *GatewaySnapshot) {
 	now := g.now()
-	eng := g.node.Engine()
+
 	g.restoreStats(snap.Stats)
 	if g.msgr != nil && snap.NextTxid > g.msgr.nextID {
 		g.msgr.nextID = snap.NextTxid
@@ -214,7 +261,7 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 			continue
 		}
 		exp := ent.ExpiresAt
-		eng.ScheduleAt(exp, func() { g.dp.Expire(g.now()) })
+		g.env.At(exp, func() { g.dp.Expire(g.now()) })
 	}
 	for _, ent := range snap.Shadows {
 		if ent.ExpiresAt <= now {
@@ -240,7 +287,7 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 			// The temporary filter is still up: re-arm the takeover
 			// check at its original Ttmp deadline.
 			installedAt := w.installedAt
-			w.check = eng.ScheduleAt(installedAt+sim.Time(g.cfg.Timers.Ttmp), func() {
+			w.check = g.env.At(installedAt+sim.Time(g.cfg.Timers.Ttmp), func() {
 				g.takeoverCheck(w, installedAt)
 			})
 		}
@@ -263,10 +310,10 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 		// while we were down, and a duplicate reply is harmless.
 		victim, mflow, nonce := req.Victim, req.Flow, ps.Nonce
 		pend.tok = g.reliableSend(label, func(uint64) *packet.Packet {
-			return packet.NewControl(g.node.Addr(), victim,
+			return packet.NewControl(g.env.Addr(), victim,
 				&packet.VerifyQuery{Flow: mflow, Nonce: nonce})
 		})
-		pend.timer = eng.ScheduleAt(ps.Deadline, func() {
+		pend.timer = g.env.At(ps.Deadline, func() {
 			if g.pendings[label.Key()] == pend {
 				delete(g.pendings, label.Key())
 				g.cancelReliable(pend.tok)
@@ -285,7 +332,7 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 			haveSeen: cs.HaveSeen,
 		}
 		g.compliance[cs.Label.Key()] = comp
-		comp.check = eng.ScheduleAt(cs.CheckAt, func() { g.complianceCheck(comp) })
+		comp.check = g.env.At(cs.CheckAt, func() { g.complianceCheck(comp) })
 	}
 
 	for _, as := range snap.Aggregates {

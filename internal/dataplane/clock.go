@@ -1,11 +1,6 @@
 package dataplane
 
-import (
-	"time"
-
-	"aitf/internal/filter"
-	"aitf/internal/sim"
-)
+import "aitf/internal/filter"
 
 // Clock supplies the engine's notion of "now" so the same classification
 // code runs under the discrete-event simulator (virtual time) and the
@@ -20,15 +15,3 @@ type ClockFunc func() filter.Time
 
 // Now implements Clock.
 func (f ClockFunc) Now() filter.Time { return f() }
-
-// SimClock reads virtual time from a simulation engine. It is only safe
-// where the sim engine itself is safe: inside event callbacks.
-func SimClock(eng *sim.Engine) Clock {
-	return ClockFunc(func() filter.Time { return eng.Now() })
-}
-
-// WallClock returns a monotonic wall clock anchored at epoch, matching
-// the wire runtime's convention of durations since process start.
-func WallClock(epoch time.Time) Clock {
-	return ClockFunc(func() filter.Time { return time.Since(epoch) })
-}

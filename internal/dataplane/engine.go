@@ -69,7 +69,8 @@ type Config struct {
 	// filter misses, reporting "on-off" flow reappearances (§II-B).
 	// Disabled it models the shadow-off ablation.
 	ShadowLookup bool
-	// Clock supplies "now" for classification; see SimClock / WallClock.
+	// Clock supplies "now" for classification: virtual time under the
+	// simulator, wall time under the wire runtime.
 	Clock Clock
 }
 

@@ -10,10 +10,39 @@ import (
 
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
+	"aitf/internal/core"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
+	"aitf/internal/packet"
 )
+
+// gatewayMetricNames is the aitf_gateway_* schema every gateway
+// exposes, clustered or not.
+var gatewayMetricNames = []string{
+	"aitf_gateway_requests_received_total",
+	"aitf_gateway_requests_policed_total",
+	"aitf_gateway_requests_invalid_total",
+	"aitf_gateway_handshakes_started_total",
+	"aitf_gateway_handshakes_ok_total",
+	"aitf_gateway_handshakes_failed_total",
+	"aitf_gateway_ctrl_reliable_sends_total",
+	"aitf_gateway_ctrl_retransmits_total",
+	"aitf_gateway_ctrl_dup_drops_total",
+	"aitf_gateway_snapshot_saves_total",
+	"aitf_gateway_snapshot_restores_total",
+	"aitf_gateway_filters_restored_total",
+	"aitf_gateway_stop_orders_total",
+	"aitf_gateway_aggregations_total",
+	"aitf_gateway_aggregate_collateral_bytes_total",
+	"aitf_gateway_detections_total",
+	"aitf_gateway_escalations_total",
+	"aitf_gateway_long_blocks_total",
+	"aitf_gateway_shadow_reblocks_total",
+	"aitf_gateway_disconnects_total",
+	"aitf_gateway_disconnect_drops_total",
+	"aitf_gateway_spoof_drops_total",
+}
 
 // clusterMetricNames is the aitf_cluster_* schema the admin endpoint
 // and the bench -metrics-json snapshot expose; renaming one breaks
@@ -40,43 +69,20 @@ func TestWireClusterRoundOverUDP(t *testing.T) {
 		attackerA = flow.MakeAddr(10, 9, 0, 2)
 	)
 	tm := testTimers()
-	client := contract.DefaultEndHost()
 	chain := []flow.Addr{victimA, vgwA, agwA, attackerA}
-	routes := func(self flow.Addr) map[flow.Addr]flow.Addr {
-		pos := -1
-		for i, a := range chain {
-			if a == self {
-				pos = i
-			}
-		}
-		nh := make(map[flow.Addr]flow.Addr)
-		for i, a := range chain {
-			if i < pos {
-				nh[a] = chain[pos-1]
-			} else if i > pos {
-				nh[a] = chain[pos+1]
-			}
-		}
-		return nh
-	}
+	routes := func(self flow.Addr) map[flow.Addr]flow.Addr { return chainRoutes(chain, self) }
 
-	vgw, err := NewGateway(GatewayConfig{
-		Node:    NodeConfig{Addr: vgwA, Name: "v_gw", NextHop: routes(vgwA)},
-		Timers:  tm,
-		Clients: map[flow.Addr]contract.Contract{victimA: client},
-		Default: contract.DefaultPeer(),
-		Secret:  []byte("vgw-secret"),
-		Detect: detect.Config{
-			ThresholdBps: 20_000,
-			Window:       100 * time.Millisecond,
-		},
-		DetectFor: []flow.Addr{victimA},
-		Cluster: cluster.Config{
-			Replicas:   3,
-			MergeEvery: 100 * time.Millisecond,
-			Replicate:  true,
-		},
-	})
+	vcfg := testGatewayConfig("v_gw", vgwA, routes(vgwA), victimA)
+	vcfg.Detection = &core.GatewayDetection{
+		Config:    detect.Config{ThresholdBps: 20_000, Window: 100 * time.Millisecond},
+		Protected: []flow.Addr{victimA},
+	}
+	vcfg.Cluster = cluster.Config{
+		Replicas:   3,
+		MergeEvery: 100 * time.Millisecond,
+		Replicate:  true,
+	}
+	vgw, err := NewGateway(vcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +92,7 @@ func TestWireClusterRoundOverUDP(t *testing.T) {
 	if vgw.Cluster() == nil {
 		t.Fatal("cluster config did not build the overlay")
 	}
-	agw, err := NewGateway(GatewayConfig{
-		Node:    NodeConfig{Addr: agwA, Name: "a_gw", NextHop: routes(agwA)},
-		Timers:  tm,
-		Clients: map[flow.Addr]contract.Contract{attackerA: client},
-		Default: contract.DefaultPeer(),
-		Secret:  []byte("agw-secret"),
-	})
+	agw, err := NewGateway(testGatewayConfig("a_gw", agwA, routes(agwA), attackerA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,15 +114,7 @@ func TestWireClusterRoundOverUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	book := Book{
-		victimA:   victim.Node().UDPAddr().String(),
-		vgwA:      vgw.Node().UDPAddr().String(),
-		agwA:      agw.Node().UDPAddr().String(),
-		attackerA: attacker.Node().UDPAddr().String(),
-	}
-	for _, n := range []*Node{victim.Node(), attacker.Node(), vgw.Node(), agw.Node()} {
-		n.SetBook(book)
-	}
+	bindBook(victim.Node(), attacker.Node(), vgw.Node(), agw.Node())
 	victim.Run()
 	attacker.Run()
 	vgw.Run()
@@ -134,30 +126,13 @@ func TestWireClusterRoundOverUDP(t *testing.T) {
 		agw.Close()
 	})
 
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				attacker.SendData(victimA, flow.ProtoUDP, 4000, 80, 500) // ~100 kB/s
-			}
-		}
-	}()
+	flood(t, attacker, victimA)
 
 	waitUntil(t, 5*time.Second, func() bool {
-		vgw.mu.Lock()
-		defer vgw.mu.Unlock()
-		return vgw.Detections > 0
+		return vgw.Stats().Detections > 0
 	}, "clustered gateway never detected the flood")
 	waitUntil(t, 5*time.Second, func() bool {
-		agw.mu.Lock()
-		defer agw.mu.Unlock()
-		return agw.HandshakesOK > 0
+		return agw.Stats().HandshakesOK > 0
 	}, "handshake never completed against the clustered victim gateway")
 	waitUntil(t, 5*time.Second, func() bool {
 		return vgw.Cluster().Stats().MergeRounds > 0
@@ -191,10 +166,11 @@ func TestWireClusterRoundOverUDP(t *testing.T) {
 	}
 }
 
-// TestWireClusterMetricsSchema locks the aitf_cluster_* observability
-// schema: a clustered gateway exposes every instrument through both
-// the Prometheus exposition and the /metrics.json snapshot shape, and
-// an unclustered gateway exposes none of them.
+// TestWireClusterMetricsSchema locks the aitf_cluster_* and
+// aitf_gateway_* observability schema: a clustered gateway exposes
+// every instrument through both the Prometheus exposition and the
+// /metrics.json snapshot shape, and an unclustered gateway exposes the
+// gateway instruments but none of the cluster ones.
 func TestWireClusterMetricsSchema(t *testing.T) {
 	fc, err := ParseFileConfig([]byte(`{
 		"role":"gateway","addr":"10.0.0.1","listen":"127.0.0.1:0",
@@ -223,7 +199,7 @@ func TestWireClusterMetricsSchema(t *testing.T) {
 	if err := obs.CheckExposition(expo); err != nil {
 		t.Fatalf("clustered exposition invalid: %v", err)
 	}
-	for _, name := range clusterMetricNames {
+	for _, name := range append(clusterMetricNames, gatewayMetricNames...) {
 		if !strings.Contains(expo, name) {
 			t.Errorf("exposition lacks %s", name)
 		}
@@ -242,17 +218,14 @@ func TestWireClusterMetricsSchema(t *testing.T) {
 	for _, s := range snaps {
 		have[s.Name] = true
 	}
-	for _, name := range clusterMetricNames {
+	for _, name := range append(clusterMetricNames, gatewayMetricNames...) {
 		if !have[name] {
 			t.Errorf("metrics.json snapshot lacks %s", name)
 		}
 	}
 
 	// An unclustered gateway must not leak the cluster namespace.
-	plain, err := NewGateway(GatewayConfig{
-		Node:   NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 9)},
-		Secret: []byte("s"),
-	})
+	plain, err := NewGateway(testGatewayConfig("plain", flow.MakeAddr(10, 0, 0, 9), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +239,11 @@ func TestWireClusterMetricsSchema(t *testing.T) {
 	if strings.Contains(buf.String(), "aitf_cluster_") {
 		t.Fatal("unclustered gateway exposes aitf_cluster_* metrics")
 	}
+	for _, name := range gatewayMetricNames {
+		if !strings.Contains(buf.String(), name) {
+			t.Errorf("unclustered exposition lacks %s", name)
+		}
+	}
 }
 
 // TestWireClusterSnapshotRestore: the replicated filter log rides the
@@ -275,31 +253,35 @@ func TestWireClusterMetricsSchema(t *testing.T) {
 // still inherits every live filter instead of re-detecting from zero.
 func TestWireClusterSnapshotRestore(t *testing.T) {
 	dir := t.TempDir()
+	victim := flow.MakeAddr(10, 0, 0, 2)
 	mk := func() *Gateway {
-		g, err := NewGateway(GatewayConfig{
-			Node:         NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 1), Name: "g"},
-			Secret:       []byte("s"),
-			SnapshotPath: filepath.Join(dir, "gw.snapshot.json"),
-			Cluster:      cluster.Config{Replicas: 3, Replicate: true},
-		})
+		cfg := testGatewayConfig("g", flow.MakeAddr(10, 0, 0, 1), map[flow.Addr]flow.Addr{victim: victim}, victim)
+		// A temporary filter outlives the restore by seconds.
+		cfg.Timers = contract.Timers{T: 20 * time.Second, Ttmp: 4 * time.Second,
+			Grace: 100 * time.Millisecond, Penalty: time.Second}
+		cfg.SnapshotPath = filepath.Join(dir, "gw.snapshot.json")
+		cfg.Cluster = cluster.Config{Replicas: 3, Replicate: true}
+		g, err := NewGateway(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return g
 	}
 	g := mk()
-	now := wallNow()
 	labels := []flow.Label{
-		flow.PairLabel(flow.MakeAddr(20, 0, 0, 1), flow.MakeAddr(10, 0, 0, 2)),
-		flow.PairLabel(flow.MakeAddr(20, 0, 0, 2), flow.MakeAddr(10, 0, 0, 2)),
+		flow.PairLabel(flow.MakeAddr(20, 0, 0, 1), victim),
+		flow.PairLabel(flow.MakeAddr(20, 0, 0, 2), victim),
 	}
-	g.mu.Lock()
+	// The victim files a request for each flow; each temporary filter
+	// install appends to the replicated log.
 	for _, l := range labels {
-		if err := g.installWithAggregation(l, now, now+5*time.Second); err != nil {
-			t.Fatal(err)
-		}
+		g.Handle(g.Node(), packet.NewControl(victim, g.Node().Addr(), &packet.FilterReq{
+			Stage:    packet.StageToVictimGW,
+			Flow:     l,
+			Victim:   victim,
+			Evidence: []packet.RREntry{stamp(g.Node().Addr(), g.cfg.Secret, l.Src, l.Dst)},
+		}), victim)
 	}
-	g.mu.Unlock()
 	wantLog := g.Cluster().LogLen()
 	if wantLog < len(labels) {
 		t.Fatalf("log holds %d ops, want >= %d", wantLog, len(labels))
@@ -344,11 +326,9 @@ func TestWireClusterSnapshotRestore(t *testing.T) {
 // self-re-arming merge ticker — the round counter goes quiet once the
 // gateway is closed.
 func TestWireClusterMergeTickerStopsOnClose(t *testing.T) {
-	g, err := NewGateway(GatewayConfig{
-		Node:    NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 1)},
-		Secret:  []byte("s"),
-		Cluster: cluster.Config{Replicas: 2, MergeEvery: 20 * time.Millisecond},
-	})
+	cfg := testGatewayConfig("g", flow.MakeAddr(10, 0, 0, 1), nil)
+	cfg.Cluster = cluster.Config{Replicas: 2, MergeEvery: 20 * time.Millisecond}
+	g, err := NewGateway(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"aitf/internal/alloc"
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
+	"aitf/internal/core"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
@@ -54,9 +55,6 @@ type GatewayFileConfig struct {
 	// Shards partitions the data-plane classification engine
 	// (0 = GOMAXPROCS).
 	Shards int `json:"dataplane_shards"`
-	// Workers enables the data plane's worker-pool dispatch mode
-	// (0 = classify inline on the receive goroutine).
-	Workers int `json:"workers"`
 	// AggregationPrefixLen enables coalescing sibling filters into a
 	// covering source-/N prefix filter under table pressure; valid
 	// values are 0 (disabled) or 1..31. It maps to the allocator with
@@ -96,7 +94,7 @@ type GatewayFileConfig struct {
 	// doubling per attempt (0 = default 250 when retransmission is on).
 	CtrlRtoMs int `json:"ctrl_rto_ms"`
 	// CtrlJitter spreads each retransmission timer by a uniform factor
-	// in [0, CtrlJitter); must be in [0, 1).
+	// in ±CtrlJitter; must be in [0, 1).
 	CtrlJitter float64 `json:"ctrl_jitter"`
 	// SnapshotPath, when set, makes the gateway write its durable state
 	// (filters, shadows, pendings, counters) there on graceful drain and
@@ -167,9 +165,6 @@ func ParseFileConfig(raw []byte) (*FileConfig, error) {
 
 // validate rejects gateway knobs outside their meaningful ranges.
 func (g *GatewayFileConfig) validate() error {
-	if g.Workers < 0 {
-		return fmt.Errorf("%w: workers %d is negative", ErrBadConfig, g.Workers)
-	}
 	if g.Shards < 0 {
 		return fmt.Errorf("%w: dataplane_shards %d is negative", ErrBadConfig, g.Shards)
 	}
@@ -302,32 +297,31 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 	if err := tm.Validate(); err != nil {
 		return GatewayConfig{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	clients := map[flow.Addr]contract.Contract{}
+	cfg := DefaultGatewayConfig()
+	cfg.Node = node
+	cfg.Trace = trace
+	cfg.SnapshotPath = c.Gateway.SnapshotPath
+	cfg.Timers = tm
+	cfg.Secret = []byte(c.Gateway.Secret)
 	for _, cl := range c.Gateway.Clients {
 		ca, err := flow.ParseAddr(cl)
 		if err != nil {
 			return GatewayConfig{}, fmt.Errorf("%w: client %q: %v", ErrBadConfig, cl, err)
 		}
-		clients[ca] = contract.DefaultEndHost()
+		cfg.Clients[ca] = contract.DefaultEndHost()
 	}
-	cfg := GatewayConfig{
-		Node:            node,
-		Timers:          tm,
-		FilterCapacity:  c.Gateway.Capacity,
-		Clients:         clients,
-		Default:         contract.DefaultPeer(),
-		Secret:          []byte(c.Gateway.Secret),
-		Trace:           trace,
-		DataplaneShards: c.Gateway.Shards,
-		Workers:         c.Gateway.Workers,
-		SnapshotPath:    c.Gateway.SnapshotPath,
+	if c.Gateway.Capacity > 0 {
+		cfg.FilterCapacity = c.Gateway.Capacity
+	}
+	if c.Gateway.Shards > 0 {
+		cfg.DataplaneShards = c.Gateway.Shards
 	}
 	if c.Gateway.CtrlMaxAttempts > 1 {
 		rto := time.Duration(c.Gateway.CtrlRtoMs) * time.Millisecond
 		if rto <= 0 {
 			rto = 250 * time.Millisecond
 		}
-		cfg.Control = RetryConfig{
+		cfg.Control = core.ControlConfig{
 			MaxAttempts: c.Gateway.CtrlMaxAttempts,
 			RTO:         rto,
 			Jitter:      c.Gateway.CtrlJitter,
@@ -358,7 +352,7 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 		}
 	}
 	if c.Gateway.DetectBps > 0 {
-		cfg.Detect = detect.Config{
+		det := &core.GatewayDetection{Config: detect.Config{
 			ThresholdBps: c.Gateway.DetectBps,
 			Window:       time.Duration(c.Gateway.DetectWindowMs) * time.Millisecond,
 			Width:        c.Gateway.SketchWidth,
@@ -367,14 +361,15 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 			// A per-node hash seed: deterministic for a given config,
 			// different across gateways.
 			Seed: uint64(node.Addr),
-		}
+		}}
 		for _, a := range c.Gateway.DetectFor {
 			fa, err := flow.ParseAddr(a)
 			if err != nil {
 				return GatewayConfig{}, fmt.Errorf("%w: detect_for %q: %v", ErrBadConfig, a, err)
 			}
-			cfg.DetectFor = append(cfg.DetectFor, fa)
+			det.Protected = append(det.Protected, fa)
 		}
+		cfg.Detection = det
 	}
 	return cfg, nil
 }

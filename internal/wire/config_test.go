@@ -154,12 +154,13 @@ func TestParseGatewayConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dcfg.Detect.ThresholdBps != 30000 || dcfg.Detect.Window != 200*time.Millisecond ||
-		dcfg.Detect.Width != 2048 || dcfg.Detect.Depth != 5 || dcfg.Detect.TopK != 64 {
-		t.Fatalf("detect config = %+v", dcfg.Detect)
+	det := dcfg.Detection
+	if det == nil || det.ThresholdBps != 30000 || det.Window != 200*time.Millisecond ||
+		det.Width != 2048 || det.Depth != 5 || det.TopK != 64 {
+		t.Fatalf("detect config = %+v", det)
 	}
-	if len(dcfg.DetectFor) != 2 || dcfg.DetectFor[0] != flow.MakeAddr(10, 0, 0, 2) {
-		t.Fatalf("detect_for = %v", dcfg.DetectFor)
+	if len(det.Protected) != 2 || det.Protected[0] != flow.MakeAddr(10, 0, 0, 2) {
+		t.Fatalf("detect_for = %v", det.Protected)
 	}
 	dg, err := NewGateway(dcfg)
 	if err != nil {
@@ -248,7 +249,6 @@ func TestParseConfigErrors(t *testing.T) {
 		"gateway no body":  `{"role":"gateway","addr":"1.1.1.1"}`,
 		"host no body":     `{"role":"host","addr":"1.1.1.1"}`,
 		"bad addr":         `{"role":"host","addr":"zzz","host":{"gateway":"1.1.1.1"}}`,
-		"negative workers": `{"role":"gateway","addr":"1.1.1.1","gateway":{"workers":-1}}`,
 		"negative shards":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"dataplane_shards":-4}}`,
 		"negative cap":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"filter_capacity":-10}}`,
 		"negative timer":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"t_ms":-5}}`,

@@ -1,61 +1,29 @@
 package wire
 
 import (
-	"sync/atomic"
-
+	"aitf/internal/core"
 	"aitf/internal/obs"
 )
 
 // GatewayStats is a point-in-time snapshot of the wire gateway's
-// protocol counters, safe to take from any goroutine (an admin
-// scraper, a test) while the gateway runs.
+// counters: the engine's protocol counters plus the snapshot/restore
+// counters the wire runtime keeps itself.
 type GatewayStats struct {
-	ReqReceived, ReqPoliced, ReqInvalid uint64
-	HandshakesStarted                   uint64
-	HandshakesOK, HandshakesFailed      uint64
-	StopOrders                          uint64
-	Aggregations                        uint64
-	CollateralBytes                     uint64
-	Detections                          uint64
-	// Reliable control-plane counters: logical sends that carried a
-	// txid, backoff retransmissions, and received duplicates absorbed.
-	CtrlReliableSends, CtrlRetransmits, CtrlDupDrops uint64
-	// Snapshot/restore counters.
+	core.GatewayStats
 	SnapshotSaves, SnapshotRestores  uint64
 	FiltersRestored, ShadowsRestored uint64
-	FilterDrops, ShadowHits          uint64
 }
 
-// Stats snapshots the control-plane counters under the gateway lock
-// (they are mutated there) and the data-plane counters atomically.
+// Stats snapshots the counters. Every one is atomic, so Stats is safe
+// from any goroutine (an admin scraper, a test) while the gateway runs
+// and never waits on the gateway lock.
 func (g *Gateway) Stats() GatewayStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.statsLocked()
-}
-
-// statsLocked is Stats for callers already holding g.mu.
-func (g *Gateway) statsLocked() GatewayStats {
 	return GatewayStats{
-		ReqReceived:       g.ReqReceived,
-		ReqPoliced:        g.ReqPoliced,
-		ReqInvalid:        g.ReqInvalid,
-		HandshakesStarted: g.HandshakesStarted,
-		HandshakesOK:      g.HandshakesOK,
-		HandshakesFailed:  g.HandshakesFailed,
-		StopOrders:        g.StopOrders,
-		Aggregations:      g.Aggregations,
-		CollateralBytes:   g.CollateralBytes,
-		Detections:        g.Detections,
-		CtrlReliableSends: g.CtrlReliableSends,
-		CtrlRetransmits:   g.CtrlRetransmits,
-		CtrlDupDrops:      g.CtrlDupDrops,
-		SnapshotSaves:     g.SnapshotSaves,
-		SnapshotRestores:  g.SnapshotRestores,
-		FiltersRestored:   g.FiltersRestored,
-		ShadowsRestored:   g.ShadowsRestored,
-		FilterDrops:       atomic.LoadUint64(&g.FilterDrops),
-		ShadowHits:        atomic.LoadUint64(&g.ShadowHits),
+		GatewayStats:     g.core.Stats(),
+		SnapshotSaves:    g.snapshotSaves.Load(),
+		SnapshotRestores: g.snapshotRestores.Load(),
+		FiltersRestored:  g.filtersRestored.Load(),
+		ShadowsRestored:  g.shadowsRestored.Load(),
 	}
 }
 
@@ -110,11 +78,29 @@ func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 		func() uint64 { return g.Stats().Aggregations })
 	r.CounterFunc("aitf_gateway_aggregate_collateral_bytes_total",
 		"Estimated collateral legit bytes priced into installed aggregates.",
-		func() uint64 { return g.Stats().CollateralBytes })
+		func() uint64 { return g.Stats().AggregateCollateralBytes })
 	r.CounterFunc("aitf_gateway_detections_total",
 		"Attacks detected on behalf of protected legacy clients.",
 		func() uint64 { return g.Stats().Detections })
-	if clu := g.clu; clu != nil {
+	r.CounterFunc("aitf_gateway_escalations_total",
+		"Escalation rounds: temporary filters re-installed because the attacker side did not take over.",
+		func() uint64 { return g.Stats().Escalations })
+	r.CounterFunc("aitf_gateway_long_blocks_total",
+		"Flows filtered locally for T after the escalation ladder ran out.",
+		func() uint64 { return g.Stats().LongBlocks })
+	r.CounterFunc("aitf_gateway_shadow_reblocks_total",
+		"Flows re-blocked on reappearance within T of a filtering request.",
+		func() uint64 { return g.Stats().ShadowReblocks })
+	r.CounterFunc("aitf_gateway_disconnects_total",
+		"Neighbours disconnected for ignoring a stop order or an exhausted escalation.",
+		func() uint64 { return g.Stats().Disconnects })
+	r.CounterFunc("aitf_gateway_disconnect_drops_total",
+		"Packets dropped because their neighbour is serving a disconnection penalty.",
+		func() uint64 { return g.Stats().DisconnectDrops })
+	r.CounterFunc("aitf_gateway_spoof_drops_total",
+		"Packets dropped by ingress filtering for a source their neighbour may not use.",
+		func() uint64 { return g.Stats().SpoofDrops })
+	if clu := g.core.Cluster(); clu != nil {
 		r.GaugeFunc("aitf_cluster_log_length",
 			"Replicated filter-log length (ops retained).",
 			func() float64 { return float64(clu.LogLen()) })
@@ -135,9 +121,9 @@ func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 			func() uint64 { return clu.Stats().CatchupNanos })
 	}
 	g.node.registerMetrics(r)
-	g.dp.Instrument(r)
-	if g.det != nil {
-		g.det.Instrument(r)
+	g.core.DataPlane().Instrument(r)
+	if det := g.core.Detector(); det != nil {
+		det.Instrument(r)
 	}
 }
 

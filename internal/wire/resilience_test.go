@@ -5,15 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"aitf/internal/contract"
+	"aitf/internal/core"
 	"aitf/internal/flow"
 	"aitf/internal/packet"
 	"aitf/internal/sim"
 )
 
 // testRetry arms a fast retransmission ladder for wire tests.
-func testRetry() RetryConfig {
-	return RetryConfig{MaxAttempts: 4, RTO: 40 * time.Millisecond, Jitter: 0.2}
+func testRetry() core.ControlConfig {
+	return core.ControlConfig{MaxAttempts: 4, RTO: 40 * time.Millisecond, Jitter: 0.2}
 }
 
 func TestParseResilienceConfig(t *testing.T) {
@@ -28,7 +28,7 @@ func TestParseResilienceConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RetryConfig{MaxAttempts: 4, RTO: 120 * time.Millisecond, Jitter: 0.25}
+	want := core.ControlConfig{MaxAttempts: 4, RTO: 120 * time.Millisecond, Jitter: 0.25}
 	if gcfg.Control != want {
 		t.Fatalf("Control = %+v, want %+v", gcfg.Control, want)
 	}
@@ -79,26 +79,32 @@ func TestParseResilienceConfig(t *testing.T) {
 }
 
 // snapGateway boots a minimal gateway writing its drain snapshot under
-// dir. The route table gives it a next hop so restored pendings can
-// re-issue queries without erroring.
+// dir.
 func snapGateway(t *testing.T, dir string) *Gateway {
 	t.Helper()
-	g, err := NewGateway(GatewayConfig{
-		Node: NodeConfig{
-			Addr:    flow.MakeAddr(10, 0, 0, 1),
-			Name:    "gw",
-			NextHop: map[flow.Addr]flow.Addr{},
-		},
-		Timers:       testTimers(),
-		Default:      contract.DefaultPeer(),
-		Secret:       []byte("secret"),
-		Control:      testRetry(),
-		SnapshotPath: filepath.Join(dir, "gw.snapshot.json"),
-	})
+	cfg := testGatewayConfig("gw", flow.MakeAddr(10, 0, 0, 1), map[flow.Addr]flow.Addr{})
+	cfg.Control = testRetry()
+	cfg.HandshakeTimeout = 200 * time.Millisecond
+	cfg.SnapshotPath = filepath.Join(dir, "gw.snapshot.json")
+	g, err := NewGateway(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// attackerSideRequest is the filtering request a victim's gateway
+// sends g as the attacker's gateway of the flow src → dst, bearing g's
+// own route-record stamp.
+func attackerSideRequest(g *Gateway, src, dst flow.Addr) *packet.Packet {
+	return packet.NewControl(dst, g.Node().Addr(), &packet.FilterReq{
+		Stage:    packet.StageToAttackerGW,
+		Flow:     flow.PairLabel(src, dst),
+		Duration: time.Second,
+		Round:    1,
+		Victim:   dst,
+		Evidence: []packet.RREntry{stamp(g.Node().Addr(), g.cfg.Secret, src, dst)},
+	})
 }
 
 // TestSnapshotRestoreHonorsDeadlines is the wire half of the
@@ -111,30 +117,28 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 	g := snapGateway(t, dir)
 
 	now := wallNow()
+	dp := g.DataPlane()
 	longLived := flow.PairLabel(flow.MakeAddr(20, 0, 0, 1), flow.MakeAddr(10, 0, 0, 2))
 	shortLived := flow.PairLabel(flow.MakeAddr(20, 0, 0, 2), flow.MakeAddr(10, 0, 0, 2))
-	if err := g.dp.Install(longLived, now, now+sim.Time(5*time.Second)); err != nil {
+	if err := dp.Install(longLived, now, now+sim.Time(5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.dp.Install(shortLived, now, now+sim.Time(50*time.Millisecond)); err != nil {
+	if err := dp.Install(shortLived, now, now+sim.Time(50*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	g.dp.LogShadow(longLived, flow.MakeAddr(10, 0, 0, 2), now, now+sim.Time(5*time.Second))
+	dp.LogShadow(longLived, flow.MakeAddr(10, 0, 0, 2), now, now+sim.Time(5*time.Second))
 	// The original absolute deadline, in wall terms.
 	longDeadline := time.Now().Add(5 * time.Second)
-	g.mu.Lock()
-	g.HandshakesOK = 7
-	g.StopOrders = 3
-	g.mu.Unlock()
+	// Two requests from an unknown neighbour: received and policed.
+	for i := 0; i < 2; i++ {
+		g.Handle(g.Node(), attackerSideRequest(g, flow.MakeAddr(20, 0, 0, 3), flow.MakeAddr(10, 0, 0, 2)), 0)
+	}
 
 	if err := g.Close(); err != nil { // snapshot-on-drain
 		t.Fatal(err)
 	}
-	if g.Stats().SnapshotSaves != 0 {
-		// SnapshotSaves is itself part of the snapshot taken before the
-		// increment; the restored gateway sees the save through its own
-		// restore counter instead.
-		t.Log("note: save counted post-snapshot by design")
+	if got := g.Stats().SnapshotSaves; got != 1 {
+		t.Fatalf("SnapshotSaves = %d after the drain, want 1", got)
 	}
 
 	time.Sleep(120 * time.Millisecond) // downtime: the 50 ms filter lapses
@@ -152,11 +156,11 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 	if st.SnapshotRestores != 1 || st.FiltersRestored != 1 || st.ShadowsRestored != 1 {
 		t.Fatalf("restore counters = %+v", st)
 	}
-	if st.HandshakesOK != 7 || st.StopOrders != 3 {
+	if st.ReqReceived != 2 || st.ReqPoliced != 2 {
 		t.Fatalf("counters did not survive the restart: %+v", st)
 	}
 
-	entries := g2.dp.FilterEntries()
+	entries := g2.DataPlane().FilterEntries()
 	if len(entries) != 1 || entries[0].Label != longLived {
 		t.Fatalf("restored filters = %+v, want only the long-lived one", entries)
 	}
@@ -168,7 +172,7 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 		t.Fatalf("restored deadline drifted %v (got %v remaining, want %v)",
 			diff, gotRemaining, wantRemaining)
 	}
-	if _, live := g2.dp.ShadowGet(longLived, wallNow()); !live {
+	if _, live := g2.DataPlane().ShadowGet(longLived, wallNow()); !live {
 		t.Fatal("shadow entry did not survive the restart")
 	}
 }
@@ -179,25 +183,16 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 func TestSnapshotRestoreFailsLapsedPendings(t *testing.T) {
 	dir := t.TempDir()
 	g := snapGateway(t, dir)
-	label := flow.PairLabel(flow.MakeAddr(20, 0, 0, 9), flow.MakeAddr(10, 0, 0, 2))
-	g.mu.Lock()
-	g.HandshakesStarted = 1
-	g.pendings[label.Key()] = &wirePending{
-		req: &packet.FilterReq{
-			Stage:  packet.StageToAttackerGW,
-			Flow:   label,
-			Victim: flow.MakeAddr(10, 0, 0, 2),
-		},
-		nonce:    42,
-		cancel:   func() {},
-		deadline: time.Now().Add(30 * time.Millisecond),
+	victim := flow.MakeAddr(10, 0, 0, 2)
+	g.Handle(g.Node(), attackerSideRequest(g, flow.MakeAddr(20, 0, 0, 9), victim), victim)
+	if n := g.PendingHandshakes(); n != 1 {
+		t.Fatalf("%d handshakes pending, want 1", n)
 	}
-	g.mu.Unlock()
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	time.Sleep(60 * time.Millisecond) // the handshake window closes while down
+	time.Sleep(300 * time.Millisecond) // the handshake window closes while down
 
 	g2 := snapGateway(t, dir)
 	defer g2.Close()
@@ -221,15 +216,15 @@ func TestWireDuplicateFilterReqDropped(t *testing.T) {
 	defer g.Close()
 	from := flow.MakeAddr(10, 0, 0, 5)
 	mk := func() *packet.Packet {
-		return packet.NewControl(from, g.node.Addr(), &packet.FilterReq{
+		return packet.NewControl(from, g.Node().Addr(), &packet.FilterReq{
 			Stage:  packet.StageToVictimGW,
 			Flow:   flow.PairLabel(flow.MakeAddr(30, 0, 0, 1), from),
 			Victim: from,
 			Txid:   777,
 		})
 	}
-	g.Handle(g.node, mk(), from)
-	g.Handle(g.node, mk(), from)
+	g.Handle(g.Node(), mk(), from)
+	g.Handle(g.Node(), mk(), from)
 	st := g.Stats()
 	if st.ReqReceived != 1 {
 		t.Fatalf("ReqReceived = %d after a duplicate, want 1", st.ReqReceived)
@@ -239,14 +234,14 @@ func TestWireDuplicateFilterReqDropped(t *testing.T) {
 	}
 	// Txid 0 (no retransmission engine at the sender) must bypass dedup.
 	mk0 := func() *packet.Packet {
-		return packet.NewControl(from, g.node.Addr(), &packet.FilterReq{
+		return packet.NewControl(from, g.Node().Addr(), &packet.FilterReq{
 			Stage:  packet.StageToVictimGW,
 			Flow:   flow.PairLabel(flow.MakeAddr(30, 0, 0, 2), from),
 			Victim: from,
 		})
 	}
-	g.Handle(g.node, mk0(), from)
-	g.Handle(g.node, mk0(), from)
+	g.Handle(g.Node(), mk0(), from)
+	g.Handle(g.Node(), mk0(), from)
 	if st := g.Stats(); st.ReqReceived != 3 {
 		t.Fatalf("txid-0 requests deduped: ReqReceived = %d, want 3", st.ReqReceived)
 	}
@@ -266,40 +261,20 @@ func TestWireHandshakeRetransmitsUntilTimeout(t *testing.T) {
 	}
 	defer sink.Close()
 
-	g, err := NewGateway(GatewayConfig{
-		Node: NodeConfig{
-			Addr:    flow.MakeAddr(10, 9, 0, 1),
-			Name:    "a_gw",
-			NextHop: map[flow.Addr]flow.Addr{victimA: victimA},
-		},
-		Timers:           testTimers(),
-		Default:          contract.DefaultPeer(),
-		Secret:           []byte("agw-secret"),
-		Control:          RetryConfig{MaxAttempts: 3, RTO: 30 * time.Millisecond},
-		HandshakeTimeout: 300 * time.Millisecond,
-	})
+	cfg := testGatewayConfig("a_gw", flow.MakeAddr(10, 9, 0, 1), map[flow.Addr]flow.Addr{victimA: victimA})
+	cfg.Control = core.ControlConfig{MaxAttempts: 3, RTO: 30 * time.Millisecond}
+	cfg.HandshakeTimeout = 300 * time.Millisecond
+	g, err := NewGateway(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	g.node.SetBook(Book{victimA: sink.UDPAddr().String()})
+	g.Node().SetBook(Book{victimA: sink.UDPAddr().String()})
 	g.Run()
 	sink.Run()
 
 	// A StageToAttackerGW request bearing this gateway's own stamp.
-	label := flow.PairLabel(attackerA, victimA)
-	req := &packet.FilterReq{
-		Stage:    packet.StageToAttackerGW,
-		Flow:     label,
-		Duration: time.Second,
-		Round:    1,
-		Victim:   victimA,
-		Evidence: []packet.RREntry{{
-			Router: g.node.Addr(),
-			Nonce:  g.rec.Nonce(flow.Tuple{Src: attackerA, Dst: victimA}),
-		}},
-	}
-	g.Handle(g.node, packet.NewControl(victimA, g.node.Addr(), req), victimA)
+	g.Handle(g.Node(), attackerSideRequest(g, attackerA, victimA), victimA)
 
 	waitUntil(t, 2*time.Second, func() bool {
 		st := g.Stats()
@@ -320,21 +295,7 @@ func TestWireHandshakeRetransmitsUntilTimeout(t *testing.T) {
 // double-driving the handshake.
 func TestWireReliableRoundCompletes(t *testing.T) {
 	r := buildRigCtrl(t, true, testRetry())
-	victimAddr := r.victim.Node().Addr()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				r.attacker.SendData(victimAddr, flow.ProtoUDP, 4000, 80, 500)
-			}
-		}
-	}()
+	flood(t, r.attacker, r.victim.Node().Addr())
 
 	waitUntil(t, 5*time.Second, func() bool {
 		return r.agw.Stats().HandshakesOK > 0

@@ -5,17 +5,18 @@
 // stamp route records, police requests, run the 3-way handshake, and
 // install filters against genuine traffic.
 //
-// The wire runtime implements the complete basic protocol of §II-C and
-// the anti-spoofing handshake of §II-E for the canonical round
-// (victim → victim's gateway → attacker's gateway → attacker).
-// Multi-round escalation studies run on the deterministic simulator
-// (package aitf); see EXPERIMENTS.md.
+// A wire gateway is a transport adapter around the simulator's own
+// protocol engine (core.Gateway): the full §II protocol — per-neighbour
+// policing, the §II-E handshake, escalation rounds, compliance checks,
+// and disconnection — runs unchanged over sockets and wall-clock
+// timers. Hosts (Host) are a lighter wire-only implementation.
 package wire
 
 import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -36,8 +37,29 @@ func (b Book) Resolve(a flow.Addr) (*net.UDPAddr, error) {
 	return net.ResolveUDPAddr("udp", s)
 }
 
+// peers indexes the book by endpoint, mapping a datagram's source
+// socket back to the protocol address that owns it. Entries that do
+// not resolve are left out.
+func (b Book) peers() map[netip.AddrPort]flow.Addr {
+	rev := make(map[netip.AddrPort]flow.Addr, len(b))
+	for a, ep := range b {
+		ua, err := net.ResolveUDPAddr("udp", ep)
+		if err != nil {
+			continue
+		}
+		rev[unmap(ua.AddrPort())] = a
+	}
+	return rev
+}
+
+// unmap strips the IPv4-in-IPv6 mapping a dual-stack socket reports.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
 // Handler processes packets delivered to a node. from is the protocol
-// address of the sending hop (zero when unknown).
+// address of the neighbour whose socket sent the datagram, or zero
+// when the source endpoint is not in the book.
 type Handler interface {
 	Handle(n *Node, p *packet.Packet, from flow.Addr)
 }
@@ -63,6 +85,7 @@ type Node struct {
 	mu      sync.Mutex
 	cfg     NodeConfig
 	conn    *net.UDPConn
+	peers   map[netip.AddrPort]flow.Addr // the book, by endpoint
 	handler Handler
 	closed  bool
 	wg      sync.WaitGroup
@@ -92,7 +115,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Book == nil {
 		cfg.Book = Book{}
 	}
-	n := &Node{cfg: cfg, conn: conn}
+	n := &Node{cfg: cfg, conn: conn, peers: cfg.Book.peers()}
 	return n, nil
 }
 
@@ -110,6 +133,7 @@ func (n *Node) SetBook(b Book) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.cfg.Book = b
+	n.peers = b.peers()
 }
 
 // SetHandler installs the protocol logic.
@@ -143,7 +167,7 @@ func (n *Node) readLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, 64*1024)
 	for {
-		sz, _, err := n.conn.ReadFromUDP(buf)
+		sz, src, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
@@ -163,15 +187,15 @@ func (n *Node) readLoop() {
 			n.DataRecv++
 		}
 		h := n.handler
+		// The neighbour is whoever owns the sending socket, never what
+		// the datagram claims: policing, compliance, and disconnection
+		// all key on it, so attacker-chosen bytes must not steer it.
+		from := n.peers[unmap(src)]
 		n.mu.Unlock()
 		if h != nil {
-			// The previous hop is the last route-record entry when
-			// present; the source otherwise.
-			from := p.Src
-			if len(p.Path) > 0 {
-				from = p.Path[len(p.Path)-1].Router
-			}
 			h.Handle(n, p, from)
+		} else {
+			p.Release()
 		}
 	}
 }
@@ -245,11 +269,13 @@ func (n *Node) Originate(p *packet.Packet) error {
 
 // timerSet manages cancellable real-time timers under the owner's lock
 // discipline: callbacks run in their own goroutine and must take the
-// owner's mutex themselves.
+// owner's mutex themselves. Once stopAll has run, after schedules
+// nothing, so a callback racing shutdown cannot re-arm.
 type timerSet struct {
-	mu     sync.Mutex
-	timers map[uint64]*time.Timer
-	next   uint64
+	mu      sync.Mutex
+	timers  map[uint64]*time.Timer
+	next    uint64
+	stopped bool
 }
 
 func newTimerSet() *timerSet { return &timerSet{timers: make(map[uint64]*time.Timer)} }
@@ -257,6 +283,10 @@ func newTimerSet() *timerSet { return &timerSet{timers: make(map[uint64]*time.Ti
 // after schedules fn once after d, returning a cancel func.
 func (ts *timerSet) after(d time.Duration, fn func()) (cancel func()) {
 	ts.mu.Lock()
+	if ts.stopped {
+		ts.mu.Unlock()
+		return func() {}
+	}
 	id := ts.next
 	ts.next++
 	t := time.AfterFunc(d, func() {
@@ -281,6 +311,7 @@ func (ts *timerSet) after(d time.Duration, fn func()) (cancel func()) {
 func (ts *timerSet) stopAll() {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	ts.stopped = true
 	for id, t := range ts.timers {
 		t.Stop()
 		delete(ts.timers, id)
